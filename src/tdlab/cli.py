@@ -33,6 +33,25 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
 
+# What a command lets escape, by exception family: stderr prefix and exit
+# code.  An instance file that cannot be read or is not a valid instance is
+# invalid input; an operator that cannot be built is an internal
+# consistency failure of a validated instance; writing the output is I/O.
+FAILURES = (
+    (
+        (forge.IngestError, NotTDSystemError, NotDiagonalizableError, ParameterError),
+        "invalid instance",
+        EXIT_INVALID,
+    ),
+    (
+        (SplitStructureError, OperatorError, ModuleError),
+        "internal consistency failure",
+        EXIT_INVALID,
+    ),
+    ((OSError,), "cannot write output", EXIT_IO),
+)
+_FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)
+
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
@@ -41,10 +60,6 @@ def _write(text: str, out_path: str | None) -> None:
             _sys.stdout.write("\n")
     else:
         Path(out_path).write_text(text if text.endswith("\n") or not text else text + "\n")
-
-
-def _load_instance(path: str):
-    return forge.ingest(path)
 
 
 def cmd_generate(args) -> int:
@@ -67,53 +82,28 @@ def cmd_generate(args) -> int:
     except (NotTDSystemError, NotDiagonalizableError, ValueError) as exc:
         print(f"validation failed: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    try:
-        if args.out:
-            forge.export_instance(instance, args.out)
-        else:
-            _sys.stdout.write(forge.format_instance(instance))
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    if args.out:
+        forge.export_instance(instance, args.out)
+    else:
+        _sys.stdout.write(forge.format_instance(instance))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (forge.IngestError, NotTDSystemError, NotDiagonalizableError, ParameterError) as exc:
-        print(f"invalid instance: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = full_suite(instance)
-    except (SplitStructureError, OperatorError, ModuleError) as exc:
-        print(f"internal consistency failure: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
+    report = full_suite(forge.ingest(args.instance))
     if args.suite != "all":
         names = [s for s in args.suite.split(",") if s]
         report = report.subset(names)
-    try:
-        _write(report.to_json_lines(), args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    _write(report.to_json_lines(), args.out)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
 def cmd_decompose(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (forge.IngestError, NotTDSystemError, NotDiagonalizableError, ParameterError) as exc:
-        print(f"invalid instance: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    try:
-        apparatus = build_apparatus(instance)
-        ops = build_operator_set(instance, apparatus)
-        action = first_structure(instance, apparatus, ops.R, ops.psi)
-        decomposition = decompose_into_components(action, instance, apparatus)
-    except (SplitStructureError, OperatorError, ModuleError) as exc:
-        print(f"internal consistency failure: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
+    instance = forge.ingest(args.instance)
+    apparatus = build_apparatus(instance)
+    ops = build_operator_set(instance, apparatus)
+    action = first_structure(instance, apparatus, ops.R, ops.psi)
+    decomposition = decompose_into_components(action, instance, apparatus)
     lines = [
         json.dumps(
             {
@@ -126,11 +116,7 @@ def cmd_decompose(args) -> int:
         )
         for c in decomposition.components
     ]
-    try:
-        _write("\n".join(lines), args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    _write("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -149,35 +135,22 @@ def _apparatus_payload(instance, apparatus) -> dict:
 
 
 def cmd_export(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (forge.IngestError, NotTDSystemError, NotDiagonalizableError, ParameterError) as exc:
-        print(f"invalid instance: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    try:
-        apparatus = build_apparatus(instance)
-        payload: dict
-        if args.what == "operators":
-            ops = build_operator_set(instance, apparatus)
-            payload = {
-                "K": apparatus.Kop.to_strings(),
-                "B": apparatus.Bop.to_strings(),
-                "R": ops.R.to_strings(),
-                "Rdd": ops.Rdd.to_strings(),
-                "psi": ops.psi.to_strings(),
-                "Lambda": ops.Lambda.to_strings(),
-            }
-        else:
-            payload = _apparatus_payload(instance, apparatus)
-    except (SplitStructureError, OperatorError) as exc:
-        print(f"internal consistency failure: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    try:
-        _write(text, args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    instance = forge.ingest(args.instance)
+    apparatus = build_apparatus(instance)
+    payload: dict
+    if args.what == "operators":
+        ops = build_operator_set(instance, apparatus)
+        payload = {
+            "K": apparatus.Kop.to_strings(),
+            "B": apparatus.Bop.to_strings(),
+            "R": ops.R.to_strings(),
+            "Rdd": ops.Rdd.to_strings(),
+            "psi": ops.psi.to_strings(),
+            "Lambda": ops.Lambda.to_strings(),
+        }
+    else:
+        payload = _apparatus_payload(instance, apparatus)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -223,7 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _FAILURE_TYPES as exc:
+        prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=_sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -150,18 +150,21 @@ def export_instance(sys: TDSystemInstance, path) -> None:
 
 
 def parse_instance_dict(data: dict) -> TDSystemInstance:
+    # The shapes are checked against d before QRacahParams, which takes
+    # O(d) large powers: a small file with a huge d is refused at once.
     try:
         d = data["d"]
-        params = QRacahParams(d, rat(data["q"]), rat(data["a"]), rat(data["b"]))
+        n = d + 1
         a = Matrix.from_strings(data["A"])
         astar = Matrix.from_strings(data["Astar"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"malformed instance file: {exc}") from exc
-    n = params.d + 1
     if a.shape != (n, n) or astar.shape != (n, n):
-        raise IngestError(
-            f"matrix shape {a.shape} does not match diameter {params.d}"
-        )
+        raise IngestError(f"matrix shape {a.shape} does not match diameter {d}")
+    try:
+        params = QRacahParams(d, rat(data["q"]), rat(data["a"]), rat(data["b"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"malformed instance file: {exc}") from exc
     return validate((a, astar), params)
 
 

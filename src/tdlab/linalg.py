@@ -189,11 +189,6 @@ class Matrix:
             [list(self._e[i]) + list(other._e[i]) for i in range(self.rows)]
         )
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix(list(self._e) + list(other._e))
-
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         v = [rat(x) for x in vector]
@@ -359,12 +354,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(self.contains_vector(other.basis.col(j)) for j in range(other.dim))
-
-    def image_under(self, m: Matrix) -> "Subspace":
-        """The subspace m * self."""
-        if m.cols != self.ambient_dim:
-            raise ValueError("operator does not act on this ambient space")
-        return Subspace.from_columns(m.rows, m * self.basis)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

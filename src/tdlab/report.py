@@ -42,22 +42,13 @@ class VerificationReport:
     def add(self, result: CheckResult) -> None:
         self.entries.append(result)
 
-    def check(
-        self, check_id: str, anchor: str, residual: Matrix, *, invert: bool = False
-    ) -> None:
-        """Record an exact zero test of `residual` under `check_id`.
-
-        With invert=True the check passes when the residual is nonzero
-        (used for non-vanishing assertions).
-        """
-        ok = residual.is_zero() ^ invert
+    def check(self, check_id: str, anchor: str, residual: Matrix) -> None:
+        """Record an exact zero test of `residual` under `check_id`."""
+        ok = residual.is_zero()
         self.add(CheckResult(check_id, anchor, ok, None if ok else residual))
 
     def record(self, check_id: str, anchor: str, ok: bool, witness: Matrix | None = None):
         self.add(CheckResult(check_id, anchor, ok, None if ok else witness))
-
-    def extend(self, other: "VerificationReport") -> None:
-        self.entries.extend(other.entries)
 
     @property
     def all_passed(self) -> bool:

@@ -11,6 +11,7 @@ under the monic factored polynomial with roots theta_i .. theta_{j-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     Matrix,
@@ -23,7 +24,7 @@ from .linalg import (
     sum_of,
 )
 from .report import CheckResult
-from .tdsystem import TDSystemInstance, second_inversion
+from .tdsystem import TDSystemInstance
 
 
 class SplitStructureError(ValueError):
@@ -124,6 +125,16 @@ class SplitApparatus:
     Kop: Matrix
     Bop: Matrix
 
+    # Cached on first use, not stored as fields, so that
+    # dataclasses.replace(apparatus, Kop=X) yields X^-1.
+    @cached_property
+    def Kinv(self) -> Matrix:
+        return self.Kop.inverse()
+
+    @cached_property
+    def Binv(self) -> Matrix:
+        return self.Bop.inverse()
+
     def cell(self, i: int, j: int) -> Cell:
         return self.cells[(i, j)]
 
@@ -211,8 +222,3 @@ def verify_minpoly_on_MKi(
         ok,
         None if ok else killed,
     )
-
-
-def apparatus_of_inversion(sys: TDSystemInstance) -> SplitApparatus:
-    """Split apparatus of the second inversion of sys."""
-    return build_apparatus(second_inversion(sys))

@@ -5,6 +5,7 @@ import pytest
 from tdlab import cli, forge
 from tdlab.linalg import Matrix
 from tdlab.report import CheckResult, VerificationReport
+from tdlab.split import SplitStructureError
 
 W1_ARGS = ["--d", "1", "--q", "2", "--a", "3", "--b", "5"]
 
@@ -155,3 +156,24 @@ class TestExport:
             ["export", "--instance", w1_file, "--out", "/nonexistent-dir/x.json"]
         )
         assert code == 3
+
+
+class TestFailureMapping:
+    @pytest.mark.parametrize("command", ["verify", "decompose", "export"])
+    def test_operator_failure_exit_2(self, command, w1_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise SplitStructureError("forced")
+
+        monkeypatch.setattr(cli, "build_apparatus", broken)
+        monkeypatch.setattr(cli, "full_suite", broken)
+        code = cli.main([command, "--instance", w1_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "internal consistency failure: forced\n"
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "export"])
+    def test_unwritable_out_message(self, command, w1_file, capsys):
+        code = cli.main([command, "--instance", w1_file, "--out", "/nonexistent-dir/x"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("cannot write output: ")

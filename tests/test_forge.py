@@ -139,6 +139,28 @@ class TestRoundTrip:
         with pytest.raises(IngestError, match="shape"):
             ingest(path)
 
+    def test_oversized_d_rejected_before_parameters(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.json"
+        data = json.loads(format_instance(fixture(1)))
+        data["d"] = 30000
+        path.write_text(json.dumps(data))
+
+        def no_params(*args, **kwargs):
+            raise AssertionError("QRacahParams built for a mismatched shape")
+
+        monkeypatch.setattr(forge, "QRacahParams", no_params)
+        with pytest.raises(IngestError, match="shape"):
+            ingest(path)
+
+    @pytest.mark.parametrize("d", ["1", 1.5, None])
+    def test_non_integer_d_rejected(self, tmp_path, d):
+        path = tmp_path / "bad.json"
+        data = json.loads(format_instance(fixture(1)))
+        data["d"] = d
+        path.write_text(json.dumps(data))
+        with pytest.raises(IngestError):
+            ingest(path)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")

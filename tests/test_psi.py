@@ -69,7 +69,8 @@ def test_psi_annihilates_seeds(w1_app, w1_ops):
 def test_psi_formula_equals_solver(d):
     sys = forge.fixture(d)
     app = build_apparatus(sys)
-    assert build_psi_from_formula(sys, app) == build_psi_from_solver(sys, app)
+    r = build_R(sys, app)
+    assert build_psi_from_formula(sys, app) == build_psi_from_solver(sys, app, r)
 
 
 def test_psi_lowers_first_split(w1_app, w1_ops):
@@ -141,10 +142,13 @@ def test_perturbed_psi_detected(w1, w1_app, w1_ops):
             assert e.residual is not None and not e.residual.is_zero()
 
 
-def test_build_R_rejects_wrong_apparatus(w1, w1_app):
+def test_suite_flags_R_from_wrong_apparatus(w1, w1_app, w1_ops):
     broken = replace(w1_app, Kop=Matrix.identity(2))
-    with pytest.raises(OperatorError):
-        build_R(w1, broken)
+    ops = replace(w1_ops, R=build_R(w1, broken))
+    report = run_identity_suite(w1, broken, ops)
+    (entry,) = [e for e in report if e.check_id == "lem.RonU.first"]
+    assert not entry.passed
+    assert entry.residual is not None and not entry.residual.is_zero()
 
 
 def test_build_Rdd_matches_inverted_R(w1, w1_app):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,14 @@ def test_w1_K(w1_app):
 
 def test_w1_B(w1_app):
     assert w1_app.Bop == Matrix([[2, -6], [0, "1/2"]])
+
+
+def test_inverses_follow_replaced_operators(w1_app):
+    assert w1_app.Kinv == w1_app.Kop.inverse()
+    assert w1_app.Binv == w1_app.Bop.inverse()
+    x = Matrix.diagonal([3, 5])
+    assert replace(w1_app, Kop=x).Kinv == x.inverse()
+    assert replace(w1_app, Bop=x).Binv == x.inverse()
 
 
 def test_B_is_K_of_inversion(any_sys):

@@ -8,6 +8,7 @@ from tdlab.psi import build_operator_set
 from tdlab.split import build_apparatus
 from tdlab.tdsystem import second_inversion
 from tdlab.uqsl2 import (
+    ModuleError,
     UqAction,
     build_L_model,
     decompose_into_components,
@@ -194,3 +195,11 @@ class TestDecomposition:
             assert c.casimir_scalar == expected
             eye = Matrix.identity(sys.dim)
             assert ((ops.Lambda - expected * eye) * c.space.basis).is_zero()
+
+
+def test_decompose_rejects_perturbed_R(w1, w1_app, w1_ops):
+    rows = [list(w1_ops.R.row(k)) for k in range(2)]
+    rows[1][1] += 1
+    action = first_structure(w1, w1_app, Matrix(rows), w1_ops.psi)
+    with pytest.raises(ModuleError):
+        decompose_into_components(action, w1, w1_app)
