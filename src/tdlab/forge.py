@@ -21,7 +21,6 @@ from .tdsystem import (
     NotTDSystemError,
     QRacahParams,
     TDSystemInstance,
-    find_standard_orderings,
     make_instance,
     qracah_eigenvalues,
 )
@@ -63,9 +62,7 @@ def build_split_form(spec: SplitFormSpec) -> tuple:
 
 def validate(candidate: tuple, params: QRacahParams) -> TDSystemInstance:
     """Run the full validation pipeline on a candidate (A, A*) pair."""
-    a, astar = candidate
-    find_standard_orderings(a, astar, params)
-    return make_instance(a, astar, params)
+    return make_instance(*candidate, params)
 
 
 @dataclass(frozen=True)

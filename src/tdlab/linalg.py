@@ -85,9 +85,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(self._e[i][j] for i in range(self.rows))
 
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
-
     def entries(self) -> list:
         """Row-major list of entries."""
         return [x for row in self._e for x in row]

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
-from tdlab import forge
-from tdlab.linalg import Matrix, Subspace
+from tdlab import forge, tdsystem
+from tdlab.linalg import Matrix, Subspace, eval_factored_poly
 from tdlab.tdsystem import (
+    EigenData,
     NotDiagonalizableError,
     NotTDSystemError,
     ParameterError,
@@ -71,6 +75,11 @@ class TestEigendata:
         with pytest.raises(NotDiagonalizableError):
             build_eigendata(Matrix([[0, 1], [0, 0]]), [0, 1])
 
+    def test_empty_eigenspace_rejected(self):
+        # the dimensions add up to n, but 3 has no eigenvector
+        with pytest.raises(NotDiagonalizableError, match="3 is not an eigenvalue"):
+            build_eigendata(Matrix.diagonal([2, 2]), [2, 3])
+
     def test_invariants(self):
         w1 = forge.fixture(1)
         for m, data in ((w1.A, w1.eig), (w1.Astar, w1.eigstar)):
@@ -100,6 +109,28 @@ class TestAxioms:
         failed = {e.check_id for e in report.failures}
         assert failed == {"axiom.iv"}
 
+        # a pair that fails (ii) never reaches the word closure
+        sys2 = forge.fixture(2)
+        e = sys2.eig
+        swapped = EigenData(
+            tuple(e.eigenvalues[p] for p in (1, 0, 2)),
+            tuple(e.eigenspaces[p] for p in (1, 0, 2)),
+            tuple(e.idempotents[p] for p in (1, 0, 2)),
+        )
+        report = verify_td_axioms(sys2.A, sys2.Astar, swapped, sys2.eigstar)
+        assert "axiom.ii" in {e.check_id for e in report.failures}
+        assert "axiom.iv" not in {e.check_id for e in report}
+
+    def test_rejection_names_axiom_before_closure(self, monkeypatch):
+        def closure(*args):
+            raise AssertionError("word closure run on a pair that fails (ii)")
+
+        monkeypatch.setattr(tdsystem, "_word_closure_dim", closure)
+        p = params(2)
+        candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
+        with pytest.raises(NotTDSystemError, match=r"axiom\.ii"):
+            forge.validate(candidate, p)
+
     def test_order_sensitivity(self):
         # permuting a standard ordering by a non-reversal breaks tridiagonality
         sys2 = forge.fixture(2)
@@ -112,22 +143,135 @@ class TestAxioms:
 class TestOrderings:
     def test_w1(self):
         w1 = forge.fixture(1)
-        theta, theta_star = find_standard_orderings(w1.A, w1.Astar, w1.params)
-        assert theta == (F(37, 6), F(13, 6))
-        assert theta_star == (F(101, 10), F(29, 10))
+        eig, eigstar = find_standard_orderings(w1.A, w1.Astar, w1.params)
+        assert eig.eigenvalues == (F(37, 6), F(13, 6))
+        assert eigstar.eigenvalues == (F(101, 10), F(29, 10))
 
     def test_inverted_a_reverses(self):
         w1 = forge.fixture(1)
-        theta, _ = find_standard_orderings(
-            w1.A, w1.Astar, w1.params.inverted_a()
-        )
-        assert theta == (F(13, 6), F(37, 6))
+        eig, _ = find_standard_orderings(w1.A, w1.Astar, w1.params.inverted_a())
+        assert eig.eigenvalues == (F(13, 6), F(37, 6))
 
     def test_diagonal_pair_rejected(self):
         with pytest.raises((NotTDSystemError, NotDiagonalizableError)):
             find_standard_orderings(
                 Matrix.diagonal([2, 3]), Matrix.diagonal([5, 7]), params(1)
             )
+
+
+# The brute-force ordering scan that validation once ran, kept as an
+# oracle: on a TD system exactly the standard ordering and its reversal
+# are tridiagonal, so validation needs no scan.
+
+
+def _identity_and_reversal(n) -> set:
+    return {tuple(range(n)), tuple(reversed(range(n)))}
+
+
+def _tridiagonal_orderings(op, idempotents) -> set:
+    """Every ordering of the idempotents under which op is block-tridiagonal."""
+    return {
+        perm
+        for perm in permutations(range(len(idempotents)))
+        if _tridiagonal_ok(op, [idempotents[p] for p in perm])[0]
+    }
+
+
+def _closure_dim_by_word(a, astar) -> int:
+    """Word closure with one rank per candidate word, in the greedy order."""
+    span = [Matrix.identity(a.rows)]
+    frontier = list(span)
+    while frontier:
+        added = []
+        for w in frontier:
+            for g in (a, astar):
+                m = g * w
+                if Matrix.from_columns(x.entries() for x in span + [m]).rank() > len(span):
+                    span.append(m)
+                    added.append(m)
+        frontier = added
+    return len(span)
+
+
+def _scan_pipeline(candidate, p):
+    """Validation as it was: eigendata, ordering scan of both spectra, closure."""
+    a, astar = candidate
+    theta, theta_star = qracah_eigenvalues(p)
+    try:
+        eig = build_eigendata(a, theta)
+        eigstar = build_eigendata(astar, theta_star)
+    except ValueError as exc:
+        raise NotTDSystemError(str(exc)) from exc
+    for op, data in ((astar, eig), (a, eigstar)):
+        n = len(data.idempotents)
+        if _tridiagonal_orderings(op, data.idempotents) != _identity_and_reversal(n):
+            raise NotTDSystemError("ordering scan")
+    if _closure_dim_by_word(a, astar) != a.rows**2:
+        raise NotTDSystemError("axiom.iv")
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs():
+    shape = (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR))
+    out = [((s.A, s.Astar), s.params) for s in map(forge.fixture, (1, 2, 3))]
+    s3 = second_inversion(forge.fixture(3))
+    return out + [((s3.A, s3.Astar), s3.params), (shape, SHAPE_PARAMS)]
+
+
+def _verdict(fn, candidate, p):
+    try:
+        fn(candidate, p)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_only_standard_orderings_are_tridiagonal(case, oracle_inputs):
+    candidate, p = oracle_inputs[case]
+    sys = forge.validate(candidate, p)
+    expected = _identity_and_reversal(sys.d + 1)
+    assert _tridiagonal_orderings(sys.Astar, sys.eig.idempotents) == expected
+    assert _tridiagonal_orderings(sys.A, sys.eigstar.idempotents) == expected
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_validate_agrees_with_scan_pipeline(case, oracle_inputs):
+    (a, astar), p = oracle_inputs[case]
+    # The diagonal pair passes (ii) and (iii) in every ordering and fails (iv).
+    theta, theta_star = qracah_eigenvalues(p)
+    candidates = [(a, astar), (Matrix.diagonal(theta), Matrix.diagonal(theta_star))]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            candidates += [(_bump(a, i, j), astar), (a, _bump(astar, i, j))]
+    verdicts = []
+    for candidate in candidates:
+        expected = _verdict(_scan_pipeline, candidate, p)
+        assert _verdict(forge.validate, candidate, p) is expected
+        verdicts.append(expected)
+    assert verdicts[0] is None and NotTDSystemError in verdicts
+
+
+def test_empty_eigenspace_fails_validation():
+    """The (1,2,1) shape read with d = 3 and a = b = 10.
+
+    theta_0 = 80 + 1/80 is no eigenvalue of A, and theta_1..theta_3 are the
+    shape's d = 2 spectrum, dually for A*: so E_0 = E*_0 = 0 and (i)-(iv)
+    hold.  The ordering scan refused the pair, since (1, 2, 3, 0) is
+    tridiagonal as well; validation refuses it at the eigendata.
+    """
+    a, astar = Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)
+    p = QRacahParams(3, F(2), F(10), F(10))
+    theta, _ = qracah_eigenvalues(p)
+    idempotents = [
+        eval_factored_poly(a, theta[:i] + theta[i + 1 :])
+        * (1 / prod(t - theta[i] for t in theta[:i] + theta[i + 1 :]))
+        for i in range(4)
+    ]
+    assert idempotents[0].is_zero()
+    assert (1, 2, 3, 0) in _tridiagonal_orderings(astar, idempotents)
+    with pytest.raises(NotTDSystemError, match="is not an eigenvalue"):
+        forge.validate((a, astar), p)
 
 
 class TestSecondInversion:
