@@ -1,8 +1,9 @@
 """Exact rational matrices and the subspace lattice.
 
 Everything here is built on ``fractions.Fraction``, so all arithmetic is
-exact and every equality test is an honest zero test.  Matrices are dense
-and immutable; subspaces are canonicalized by reduced row echelon form so
+exact and every equality test is an honest zero test.  Matrices are
+immutable, with dense storage; products and eliminations skip zero
+entries.  Subspaces are canonicalized by reduced row echelon form so
 that equal subspaces have bit-identical representations.
 """
 
@@ -107,8 +108,8 @@ class Matrix:
         self._same_shape(other)
         return Matrix(
             [
-                [self._e[i][j] + other._e[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
+                [x + y if y else x for x, y in zip(row, orow)]
+                for row, orow in zip(self._e, other._e)
             ]
         )
 
@@ -116,8 +117,8 @@ class Matrix:
         self._same_shape(other)
         return Matrix(
             [
-                [self._e[i][j] - other._e[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
+                [x - y if y else x for x, y in zip(row, orow)]
+                for row, orow in zip(self._e, other._e)
             ]
         )
 
@@ -134,21 +135,23 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = rat(scalar)
-        return Matrix([[s * x for x in row] for row in self._e])
+        return Matrix([[s * x if x else x for x in row] for row in self._e])
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        ot = other._e
-        return Matrix(
-            [
-                [
-                    sum((self._e[i][k] * ot[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
+        # Row i of the product is the sum of x * (row k of other) over the
+        # nonzero x = self[i, k], taken over the nonzero entries of row k.
+        nonzero = [[(j, y) for j, y in enumerate(orow) if y] for orow in other._e]
+        out = []
+        for row in self._e:
+            acc = [Fraction(0)] * other.cols
+            for x, terms in zip(row, nonzero):
+                if x:
+                    for j, y in terms:
+                        acc[j] += x * y
+            out.append(acc)
+        return Matrix(out)
 
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -192,8 +195,8 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
-            sum((self._e[i][k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
+            sum((x * y for x, y in zip(row, v) if x and y), Fraction(0))
+            for row in self._e
         )
 
     def _same_shape(self, other: "Matrix"):
@@ -206,16 +209,7 @@ class Matrix:
     def kernel(self) -> "Matrix":
         """Basis of the null space, as columns (cols x nullity matrix)."""
         rank, ech, pivots = rref(self)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -ech[r, f]
-            basis.append(v)
-        return Matrix.from_columns(basis) if basis else Matrix.zeros(self.cols, 0)
+        return _kernel_from_echelon(ech, pivots, self.cols)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -251,11 +245,11 @@ def rref(m: Matrix) -> tuple:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        work[r] = [x * inv if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -263,12 +257,31 @@ def rref(m: Matrix) -> tuple:
     return r, Matrix(work), tuple(pivots)
 
 
+def _kernel_from_echelon(ech: Matrix, pivots: Sequence[int], ncols: int) -> Matrix:
+    """Null-space basis, as columns, of the first `ncols` columns of `ech`.
+
+    `ech` is in reduced echelon form and `pivots` are its pivot columns,
+    all below `ncols`.
+    """
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -ech[r, f]
+        basis.append(v)
+    return Matrix.from_columns(basis) if basis else Matrix.zeros(ncols, 0)
+
+
 def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
     """Solve a x = b for one right-hand-side column.
 
     Returns (particular, kernel_basis) where particular is a column Matrix
     and kernel_basis a Matrix whose columns span the solution freedom, or
-    None when the system is inconsistent.
+    None when the system is inconsistent.  One elimination serves both:
+    the left block of rref(a | b) is rref(a).
     """
     if b.cols != 1 or b.rows != a.rows:
         raise ValueError("right-hand side must be a single column")
@@ -278,7 +291,7 @@ def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
     x = [Fraction(0)] * a.cols
     for r, p in enumerate(pivots):
         x[p] = ech[r, a.cols]
-    return Matrix.column(x), a.kernel()
+    return Matrix.column(x), _kernel_from_echelon(ech, pivots, a.cols)
 
 
 class Subspace:

@@ -153,8 +153,7 @@ def _verify_eigendata(m: Matrix, data: EigenData):
     for i, (t, e) in enumerate(zip(data.eigenvalues, data.idempotents)):
         for j, e2 in enumerate(data.idempotents):
             prod = e * e2
-            expect = e if i == j else Matrix.zeros(n, n)
-            if prod != expect:
+            if not (prod == e if i == j else prod.is_zero()):
                 raise NotDiagonalizableError("idempotent orthogonality failed")
         if m * e != t * e:
             raise NotDiagonalizableError("A E_i != theta_i E_i")

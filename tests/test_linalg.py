@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdlab.linalg import (
@@ -13,6 +13,7 @@ from tdlab.linalg import (
     rat,
     rref,
     solve_commutant_constraint,
+    solve_linear,
     subspace_intersect,
     subspace_sum,
 )
@@ -190,3 +191,168 @@ class TestCommutantSolver:
         sols = solve_commutant_constraint(r, c, [k0])
         assert sols.is_unique
         assert sols.solution == M([[0, "9/4"], [0, 0]])
+
+
+# -- oracles for the zero-skipping primitives ---------------------------------
+
+nonzero_fractions = st.fractions(
+    min_value=-6, max_value=6, max_denominator=5
+).filter(bool)
+# About three entries in four are zero, as in the split-form operators.
+sparse_entries = st.tuples(st.integers(0, 3), nonzero_fractions).map(
+    lambda t: t[1] if t[0] == 0 else Fraction(0)
+)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_entries, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(Matrix)
+
+
+# Column counts start at 0: an n x 0 matrix is a valid operand.  (A matrix
+# with no rows has no columns either.)
+dims = st.integers(0, 5)
+shapes = st.tuples(st.integers(1, 5), dims)
+matrices = shapes.flatmap(lambda s: sparse_matrices(*s))
+square_matrices = st.integers(1, 5).flatmap(lambda n: sparse_matrices(n, n))
+
+
+def dense_product(a, b):
+    """The dense triple sum, entry by entry."""
+    return Matrix(
+        [
+            [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def entrywise(a, b, op):
+    return Matrix(
+        [[op(a[i, j], b[i, j]) for j in range(a.cols)] for i in range(a.rows)]
+    )
+
+
+@given(
+    st.tuples(st.integers(1, 5), dims, st.integers(1, 5)).flatmap(
+        lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]))
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_product_matches_dense_sum(pair):
+    a, b = pair
+    assert a * b == dense_product(a, b)
+
+
+@given(shapes.flatmap(lambda s: st.tuples(sparse_matrices(*s), sparse_matrices(*s))))
+@settings(max_examples=50, deadline=None)
+def test_add_sub_match_entrywise(pair):
+    a, b = pair
+    assert a + b == entrywise(a, b, lambda x, y: x + y)
+    assert a - b == entrywise(a, b, lambda x, y: x - y)
+
+
+@given(matrices, st.one_of(st.just(Fraction(0)), nonzero_fractions))
+@settings(max_examples=50, deadline=None)
+def test_scale_and_apply_match_dense(a, s):
+    assert a.scale(s) == entrywise(a, a, lambda x, _: s * x)
+    v = [s * (k + 1) if k % 2 else Fraction(0) for k in range(a.cols)]
+    assert a.apply(v) == tuple(
+        sum((a[i, k] * v[k] for k in range(a.cols)), Fraction(0)) for i in range(a.rows)
+    )
+
+
+def test_matmul_skips_zero_entries():
+    # n x n diagonal times upper bidiagonal: at most 2n nonzero products,
+    # against the n^3 of a dense triple sum.
+    calls = []
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            calls.append(1)
+            return Fraction.__mul__(self, other)
+
+    n = 6
+    diag = Matrix([[Counted(i + 2 if i == j else 0) for j in range(n)] for i in range(n)])
+    bidiag = Matrix(
+        [[Counted(j + 1 if j in (i, i + 1) else 0) for j in range(n)] for i in range(n)]
+    )
+    product = diag * bidiag
+    assert len(calls) <= 2 * n
+    assert product == Matrix(
+        [[(i + 2) * (j + 1) if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def sympy_of(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries()]
+    )
+
+
+def from_sympy(s):
+    return Matrix([[Fraction(int(x.p), int(x.q)) for x in s.row(i)] for i in range(s.rows)])
+
+
+def sympy_columns(vectors, n):
+    if not vectors:
+        return Matrix.zeros(n, 0)
+    return Matrix.from_columns(
+        [[Fraction(int(x.p), int(x.q)) for x in v] for v in vectors]
+    )
+
+
+@given(matrices)
+@example(Matrix([[], []]))
+@settings(max_examples=50, deadline=None)
+def test_rref_and_kernel_match_sympy(a):
+    s = sympy_of(a)
+    ech, pivots = s.rref()
+    rank, ours, our_pivots = rref(a)
+    assert ours == from_sympy(ech)
+    assert our_pivots == tuple(pivots)
+    assert rank == len(pivots)
+    assert a.kernel() == sympy_columns(s.nullspace(), a.cols)
+
+
+@given(square_matrices, st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_inverse_matches_sympy(a, unit_diagonal):
+    if unit_diagonal:
+        a = a + Matrix.identity(a.rows)
+    s = sympy_of(a)
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            a.inverse()
+    else:
+        assert a.inverse() == from_sympy(s.inv())
+
+
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda s: st.tuples(sparse_matrices(*s), sparse_matrices(s[0], 1), st.booleans())
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_solve_linear_matches_sympy(case):
+    a, b, consistent = case
+    if consistent:
+        # Make b = a x for a sparse x, so that the system has a solution.
+        b = a * Matrix.column([a[0, j] for j in range(a.cols)])
+    solved = solve_linear(a, b)
+    try:
+        x, params = sympy_of(a).gauss_jordan_solve(sympy_of(b))
+    except ValueError:
+        assert solved is None
+        return
+    particular, ker = solved
+    zeros = {p: 0 for p in x.free_symbols}
+    assert particular == from_sympy(x.subs(zeros))
+    assert a * particular == b
+    assert ker == sympy_columns(sympy_of(a).nullspace(), a.cols)
+    assert ker.cols == params.rows
