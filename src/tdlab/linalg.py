@@ -1,15 +1,23 @@
 """Exact rational matrices and the subspace lattice.
 
-Everything here is built on ``fractions.Fraction``, so all arithmetic is
-exact and every equality test is an honest zero test.  Matrices are
-immutable, with dense storage; products and eliminations skip zero
-entries.  Subspaces are canonicalized by reduced row echelon form so
-that equal subspaces have bit-identical representations.
+All arithmetic is exact and every equality test is an honest zero test.
+A matrix is stored as integer numerator rows over one common denominator,
+in a canonical form: the denominator is positive, it shares no factor with
+every numerator, and a zero matrix has denominator 1.  Equal matrices are
+therefore stored identically.  Products, sums and eliminations are integer
+arithmetic, and products and eliminations skip zero entries; entries are
+read back as reduced ``fractions.Fraction`` values.  Elimination is
+fraction-free Gauss-Jordan, each row kept primitive by its gcd, with one
+division by the pivots at the end.  Subspaces are canonicalized by
+reduced row echelon form so that equal subspaces have bit-identical
+representations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -34,29 +42,61 @@ def rat_str(x: Fraction) -> str:
     return str(x)
 
 
-class Matrix:
-    """Immutable dense matrix of rationals."""
+def _primitive(row: list) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
-    __slots__ = ("rows", "cols", "_e")
+
+class Matrix:
+    """Immutable matrix of rationals: integer rows `_n` over denominator `_d`.
+
+    The shape is stored, so a matrix may have no rows and some columns.
+    `_d > 0`, gcd(`_d`, all of `_n`) = 1, and a zero matrix has `_d = 1`.
+    """
+
+    __slots__ = ("rows", "cols", "_n", "_d")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(rat(x) for x in row) for row in entries)
+        rows = [[rat(x) for x in row] for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "_e", rows)
+        d = lcm(*(x.denominator for row in rows for x in row))
+        num = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        self._set(len(rows), len(rows[0]) if rows else 0, num, d)
+
+    def _set(self, rows: int, cols: int, num, d: int) -> None:
+        g = gcd(d, *chain.from_iterable(num))
+        if d < 0:
+            g = -g
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            d //= g
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_n", tuple(map(tuple, num)))
+        object.__setattr__(self, "_d", d)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, num, d: int) -> "Matrix":
+        """The rows x cols matrix num / d, for integer rows num and d != 0.
+
+        Only normalizes: the entries are not validated.
+        """
+        m = object.__new__(cls)
+        m._set(rows, cols, num, d)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [[0] * cols for _ in range(rows)], 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "Matrix":
@@ -66,6 +106,8 @@ class Matrix:
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
+        if not entries:
+            return cls.zeros(0, 1)
         return cls([[x] for x in entries])
 
     @classmethod
@@ -78,52 +120,56 @@ class Matrix:
 
     def __getitem__(self, idx) -> Fraction:
         i, j = idx
-        return self._e[i][j]
+        return Fraction(self._n[i][j], self._d)
 
     def row(self, i: int) -> tuple:
-        return self._e[i]
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n[i])
 
     def col(self, j: int) -> tuple:
-        return tuple(self._e[i][j] for i in range(self.rows))
+        d = self._d
+        return tuple(Fraction(row[j], d) for row in self._n)
 
     def entries(self) -> list:
         """Row-major list of entries."""
-        return [x for row in self._e for x in row]
+        d = self._d
+        return [Fraction(x, d) for row in self._n for x in row]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self._d == other._d
+            and self._n == other._n
         )
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self.rows, self.cols, self._d, self._n))
 
     def __repr__(self):
-        return "Matrix(%s)" % [[str(x) for x in row] for row in self._e]
+        return "Matrix(%s)" % self.to_strings()
+
+    def _over(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        self._same_shape(other)
+        d = lcm(self._d, other._d)
+        a, b = d // self._d, sign * (d // other._d)
+        num = [
+            [a * x + b * y for x, y in zip(row, orow)]
+            for row, orow in zip(self._n, other._n)
+        ]
+        return Matrix._of(self.rows, self.cols, num, d)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [
-                [x + y if y else x for x, y in zip(row, orow)]
-                for row, orow in zip(self._e, other._e)
-            ]
-        )
+        return self._over(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            [
-                [x - y if y else x for x, y in zip(row, orow)]
-                for row, orow in zip(self._e, other._e)
-            ]
-        )
+        return self._over(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self._e])
+        num = [[-x for x in row] for row in self._n]
+        return Matrix._of(self.rows, self.cols, num, self._d)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -135,23 +181,24 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = rat(scalar)
-        return Matrix([[s * x if x else x for x in row] for row in self._e])
+        num = [[s.numerator * x for x in row] for row in self._n]
+        return Matrix._of(self.rows, self.cols, num, self._d * s.denominator)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         # Row i of the product is the sum of x * (row k of other) over the
         # nonzero x = self[i, k], taken over the nonzero entries of row k.
-        nonzero = [[(j, y) for j, y in enumerate(orow) if y] for orow in other._e]
+        nonzero = [[(j, y) for j, y in enumerate(orow) if y] for orow in other._n]
         out = []
-        for row in self._e:
-            acc = [Fraction(0)] * other.cols
+        for row in self._n:
+            acc = [0] * other.cols
             for x, terms in zip(row, nonzero):
                 if x:
                     for j, y in terms:
                         acc[j] += x * y
             out.append(acc)
-        return Matrix(out)
+        return Matrix._of(self.rows, other.cols, out, self._d * other._d)
 
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -172,36 +219,45 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._e for x in row)
+        return not any(map(any, self._n))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        num = list(zip(*self._n)) if self.rows else [()] * self.cols
+        return Matrix._of(self.cols, self.rows, num, self._d)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        """[self | others[0] | ...], over the lcm of the denominators."""
+        blocks = (self,) + others
+        if any(m.rows != self.rows for m in others):
             raise ValueError("row count mismatch in hstack")
-        return Matrix(
-            [list(self._e[i]) + list(other._e[i]) for i in range(self.rows)]
-        )
+        d = lcm(*(m._d for m in blocks))
+        scaled = [[[x * (d // m._d) for x in row] for row in m._n] for m in blocks]
+        num = [list(chain.from_iterable(parts)) for parts in zip(*scaled)]
+        return Matrix._of(self.rows, sum(m.cols for m in blocks), num, d)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         v = [rat(x) for x in vector]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
+        dv = lcm(*(x.denominator for x in v))
+        nv = [x.numerator * (dv // x.denominator) for x in v]
+        d = self._d * dv
         return tuple(
-            sum((x * y for x, y in zip(row, v) if x and y), Fraction(0))
-            for row in self._e
+            Fraction(sum(x * y for x, y in zip(row, nv) if x and y), d)
+            for row in self._n
         )
 
     def _same_shape(self, other: "Matrix"):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def _top_rows(self, k: int) -> "Matrix":
+        """The first k rows."""
+        return Matrix._of(k, self.cols, self._n[:k], self._d)
 
     def rank(self) -> int:
         return rref(self)[0]
@@ -218,11 +274,12 @@ class Matrix:
         rank, ech, pivots = rref(self.hstack(Matrix.identity(n)))
         if any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in ech._e])
+        return Matrix._of(n, n, [row[n:] for row in ech._n], ech._d)
 
     def to_strings(self) -> list:
         """Row-major array-of-arrays of rational strings."""
-        return [[rat_str(x) for x in row] for row in self._e]
+        d = self._d
+        return [[rat_str(Fraction(x, d)) for x in row] for row in self._n]
 
     @classmethod
     def from_strings(cls, data: Sequence[Sequence[str]]) -> "Matrix":
@@ -233,46 +290,59 @@ def rref(m: Matrix) -> tuple:
     """Reduced row echelon form.
 
     Returns (rank, echelon, pivots) where pivots is the tuple of pivot
-    column indices.
+    column indices.  Fraction-free: the integer numerator rows (scaling by
+    the denominator leaves the echelon form unchanged) are eliminated by
+    row <- p * row - f * pivot_row, each kept primitive by its gcd, and
+    each row is divided by its pivot once, at the end.
     """
-    work = [list(row) for row in m._e]
+    work = [_primitive(list(row)) for row in m._n]
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv if x else x for x in work[r]]
+        prow = work[r]
+        p = prow[c]
+        terms = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
+            f = work[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = work[i] if a == 1 else [a * x for x in work[i]]
+                for j, y in terms:
+                    row[j] -= b * y
+                work[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r, Matrix(work), tuple(pivots)
+    d = lcm(*(work[i][c] for i, c in enumerate(pivots)))
+    for i, c in enumerate(pivots):
+        s = d // work[i][c]
+        if s != 1:
+            work[i] = [s * x for x in work[i]]
+    return r, Matrix._of(nrows, ncols, work, d), tuple(pivots)
 
 
 def _kernel_from_echelon(ech: Matrix, pivots: Sequence[int], ncols: int) -> Matrix:
     """Null-space basis, as columns, of the first `ncols` columns of `ech`.
 
     `ech` is in reduced echelon form and `pivots` are its pivot columns,
-    all below `ncols`.
+    all below `ncols`.  Column k is e_f - sum_r ech[r, f] e_(pivot r) for
+    the k-th free column f, scaled by ech's denominator.
     """
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    num = [[0] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        num[f][k] = ech._d
         for r, p in enumerate(pivots):
-            v[p] = -ech[r, f]
-        basis.append(v)
-    return Matrix.from_columns(basis) if basis else Matrix.zeros(ncols, 0)
+            num[p][k] = -ech._n[r][f]
+    return Matrix._of(ncols, len(free), num, ech._d)
 
 
 def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
@@ -288,10 +358,10 @@ def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
     rank, ech, pivots = rref(a.hstack(b))
     if a.cols in pivots:
         return None
-    x = [Fraction(0)] * a.cols
+    x = [[0] for _ in range(a.cols)]
     for r, p in enumerate(pivots):
-        x[p] = ech[r, a.cols]
-    return Matrix.column(x), _kernel_from_echelon(ech, pivots, a.cols)
+        x[p][0] = ech._n[r][a.cols]
+    return Matrix._of(a.cols, 1, x, ech._d), _kernel_from_echelon(ech, pivots, a.cols)
 
 
 class Subspace:
@@ -318,10 +388,7 @@ class Subspace:
         if generators.rows != ambient_dim:
             raise ValueError("generator length != ambient dimension")
         rank, ech, _ = rref(generators.transpose())
-        basis = Matrix([ech._e[i] for i in range(rank)]).transpose()
-        if rank == 0:
-            basis = Matrix.zeros(ambient_dim, 0)
-        return cls(ambient_dim, basis)
+        return cls(ambient_dim, ech._top_rows(rank).transpose())
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -355,15 +422,12 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-    def contains_vector(self, vector: Sequence) -> bool:
-        v = Matrix.column([rat(x) for x in vector])
-        if self.dim == 0:
-            return v.is_zero()
-        return solve_linear(self.basis, v) is not None
-
     def contains(self, other: "Subspace") -> bool:
+        """One elimination: other lies in self iff adding it keeps the rank."""
         self._check_ambient(other)
-        return all(self.contains_vector(other.basis.col(j)) for j in range(other.dim))
+        if other.dim == 0 or self.dim == 0:
+            return other.dim == 0
+        return self.basis.hstack(other.basis).rank() == self.dim
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -388,12 +452,10 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     s1._check_ambient(s2)
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient_dim)
-    stacked = s1.basis.hstack(-s2.basis)
-    ker = stacked.kernel()
+    ker = s1.basis.hstack(-s2.basis).kernel()
     if ker.cols == 0:
         return Subspace.zero(s1.ambient_dim)
-    xpart = Matrix([ker._e[i] for i in range(s1.dim)])
-    return Subspace.from_columns(s1.ambient_dim, s1.basis * xpart)
+    return Subspace.from_columns(s1.ambient_dim, s1.basis * ker._top_rows(s1.dim))
 
 
 def sum_of(parts: Sequence[Subspace], ambient_dim: int) -> Subspace:
@@ -405,11 +467,10 @@ def sum_of(parts: Sequence[Subspace], ambient_dim: int) -> Subspace:
 
 def sum_is_direct(parts: Sequence[Subspace], ambient_dim: int) -> bool:
     """True iff the sum of the parts is direct (not necessarily all of V)."""
-    generators = [p.basis.col(j) for p in parts for j in range(p.dim)]
-    if not generators:
+    bases = [p.basis for p in parts if p.dim]
+    if not bases:
         return True
-    stacked = Matrix.from_columns(generators)
-    return stacked.rank() == sum(p.dim for p in parts)
+    return Matrix.hstack(*bases).rank() == sum(p.dim for p in parts)
 
 
 def is_direct_sum(parts: Sequence[Subspace], ambient_dim: int) -> bool:
@@ -433,6 +494,32 @@ def eval_factored_poly(a: Matrix, roots: Sequence) -> Matrix:
     for r in roots:
         result = result * (a - rat(r) * eye)
     return result
+
+
+def algebra_dim(generators: Sequence[Matrix]) -> int:
+    """Dimension of the unital algebra that square matrices generate.
+
+    Grown level by level from the identity, with the span of the words
+    kept as reduced echelon rows (a word is the row of its n^2 entries).
+    Each level runs one rref over those rows and the products of the
+    generators with the frontier; the rows at new pivots span what the
+    level added, and they are the next frontier.  A word enters as its
+    numerators: scaling a row leaves the span unchanged.
+    """
+    n = generators[0].rows
+    echelon, pivots, words = [], (), [Matrix.identity(n)]
+    while words and len(echelon) < n * n:
+        stacked = echelon + [list(chain.from_iterable(w._n)) for w in words]
+        rank, red, new_pivots = rref(Matrix._of(len(stacked), n * n, stacked, 1))
+        echelon = list(red._n[:rank])
+        frontier = [
+            Matrix._of(n, n, [row[i * n : (i + 1) * n] for i in range(n)], 1)
+            for row, p in zip(echelon, new_pivots)
+            if p not in pivots
+        ]
+        pivots = new_pivots
+        words = [g * w for w in frontier for g in generators]
+    return len(echelon)
 
 
 class AffineSolutions:
@@ -465,44 +552,47 @@ def solve_commutant_constraint(
 ) -> AffineSolutions:
     """Solve {XR - RX = C, X|_S = 0 for S in annihilated} for X.
 
-    The n^2 unknown entries of X are treated as a dense linear system;
-    the caller is responsible for asserting uniqueness when it is needed.
+    The n^2 unknown entries of X are treated as a dense linear system,
+    built from numerators: the equations for entry (i, j) of XR - RX = C
+    are scaled by the denominators of R and C, and those of X v = 0 by the
+    denominator of v.  The caller is responsible for asserting uniqueness
+    when it is needed.
     """
     if not r.is_square() or r.shape != c.shape:
         raise ValueError("R and C must be square matrices of equal size")
     n = r.rows
+    rn, cn = r._n, c._n
+    rs, cs = r._d, c._d
     rows = []
     rhs = []
 
     def unknown(i, k):
         return i * n + k
 
-    # XR - RX = C, one scalar equation per entry (i, j).
+    # XR - RX = C, one scalar equation per entry (i, j), times rs * cs.
     for i in range(n):
         for j in range(n):
-            coeff = [Fraction(0)] * (n * n)
+            coeff = [0] * (n * n)
             for k in range(n):
-                coeff[unknown(i, k)] += r[k, j]
-                coeff[unknown(k, j)] -= r[i, k]
+                coeff[unknown(i, k)] += rn[k][j] * cs
+                coeff[unknown(k, j)] -= rn[i][k] * cs
             rows.append(coeff)
-            rhs.append(c[i, j])
+            rhs.append([cn[i][j] * rs])
     # X v = 0 for each basis vector of each annihilated subspace.
     for space in annihilated:
         if space.ambient_dim != n:
             raise ValueError("annihilated subspace has wrong ambient dimension")
-        for jcol in range(space.dim):
-            v = space.basis.col(jcol)
+        for v in zip(*space.basis._n):
             for i in range(n):
-                coeff = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    coeff[unknown(i, k)] = v[k]
+                coeff = [0] * (n * n)
+                coeff[i * n : (i + 1) * n] = v
                 rows.append(coeff)
-                rhs.append(Fraction(0))
+                rhs.append([0])
 
-    system = Matrix(rows)
-    solved = solve_linear(system, Matrix.column(rhs))
+    system = Matrix._of(len(rows), n * n, rows, 1)
+    solved = solve_linear(system, Matrix._of(len(rhs), 1, rhs, 1))
     if solved is None:
         return AffineSolutions(None, 0)
     particular, ker = solved
-    x = Matrix([[particular[unknown(i, k), 0] for k in range(n)] for i in range(n)])
-    return AffineSolutions(x, ker.cols)
+    xn = [[particular._n[unknown(i, k)][0] for k in range(n)] for i in range(n)]
+    return AffineSolutions(Matrix._of(n, n, xn, particular._d), ker.cols)

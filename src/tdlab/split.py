@@ -64,9 +64,8 @@ def projector_sum(spaces, weights, n: int) -> Matrix:
     Built by a dense change of basis: the concatenated bases must be
     invertible (the spaces form a decomposition of V).
     """
-    columns = [s.basis.col(j) for s in spaces for j in range(s.dim)]
     diag = [w for s, w in zip(spaces, weights) for _ in range(s.dim)]
-    g = Matrix.from_columns(columns)
+    g = Matrix.hstack(*(s.basis for s in spaces))
     if g.rows != n or g.cols != n:
         raise SplitStructureError("spaces do not decompose the ambient space")
     return g * Matrix.diagonal(diag) * g.inverse()

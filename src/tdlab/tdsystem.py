@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, Rational, Subspace, rat, rref
+from .linalg import Matrix, Rational, Subspace, algebra_dim, rat
 from .report import CheckResult, VerificationReport
 
 
@@ -194,30 +194,6 @@ def _tridiagonal_ok(op: Matrix, idempotents: Sequence[Matrix]) -> tuple:
     return True, None
 
 
-def _word_closure_dim(a: Matrix, astar: Matrix) -> int:
-    """Dimension of the algebra generated by a and astar inside End(V).
-
-    Grown level by level from the identity, with the span kept as reduced
-    echelon rows.  Each level runs one rref over those rows and the products
-    of a and astar with the frontier; the rows at new pivots span what the
-    level added, and they are the next frontier.  At dimension n^2 the pair
-    is absolutely irreducible.
-    """
-    n = a.rows
-    echelon, pivots, words = [], (), [Matrix.identity(n)]
-    while words and len(echelon) < n * n:
-        rank, red, new_pivots = rref(Matrix(echelon + [w.entries() for w in words]))
-        echelon = [red.row(r) for r in range(rank)]
-        frontier = [
-            Matrix([row[i * n : (i + 1) * n] for i in range(n)])
-            for row, p in zip(echelon, new_pivots)
-            if p not in pivots
-        ]
-        pivots = new_pivots
-        words = [g * w for w in frontier for g in (a, astar)]
-    return len(echelon)
-
-
 def verify_td_axioms(
     a: Matrix, astar: Matrix, eig: EigenData, eigstar: EigenData
 ) -> VerificationReport:
@@ -258,7 +234,7 @@ def verify_td_axioms(
         report.record(
             "axiom.iv",
             "no common invariant subspace (word closure reaches dim n^2)",
-            _word_closure_dim(a, astar) == n * n,
+            algebra_dim((a, astar)) == n * n,
         )
     return report
 

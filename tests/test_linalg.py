@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,8 +213,7 @@ def sparse_matrices(rows, cols):
     ).map(Matrix)
 
 
-# Column counts start at 0: an n x 0 matrix is a valid operand.  (A matrix
-# with no rows has no columns either.)
+# Column counts start at 0: an n x 0 matrix is a valid operand.
 dims = st.integers(0, 5)
 shapes = st.tuples(st.integers(1, 5), dims)
 matrices = shapes.flatmap(lambda s: sparse_matrices(*s))
@@ -266,26 +266,53 @@ def test_scale_and_apply_match_dense(a, s):
     )
 
 
-def test_matmul_skips_zero_entries():
-    # n x n diagonal times upper bidiagonal: at most 2n nonzero products,
-    # against the n^3 of a dense triple sum.
-    calls = []
+ARITHMETIC_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
 
-    class Counted(Fraction):
-        def __mul__(self, other):
-            calls.append(1)
-            return Fraction.__mul__(self, other)
 
+def test_primitives_do_no_fraction_arithmetic(monkeypatch):
+    # The primitives work on integer numerators over a common denominator:
+    # no Fraction arithmetic at all, even with non-integer entries.
     n = 6
-    diag = Matrix([[Counted(i + 2 if i == j else 0) for j in range(n)] for i in range(n)])
     bidiag = Matrix(
-        [[Counted(j + 1 if j in (i, i + 1) else 0) for j in range(n)] for i in range(n)]
+        [[Fraction(j + 1, i + 2) if j in (i, i + 1) else 0 for j in range(n)]
+         for i in range(n)]
     )
-    product = diag * bidiag
-    assert len(calls) <= 2 * n
-    assert product == Matrix(
-        [[(i + 2) * (j + 1) if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+    lower = Matrix(
+        [[Fraction(i - j + 1, j + 3) if j <= i else 0 for j in range(n)]
+         for i in range(n)]
     )
+    b = Matrix.column([Fraction(k, 5) for k in range(n)])
+    calls = []
+    for name in ARITHMETIC_DUNDERS:
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    results = [
+        bidiag * lower, bidiag + lower, bidiag - lower, lower.scale(Fraction(-3, 7)),
+        rref(bidiag.hstack(lower)), lower.kernel(), bidiag.hstack(lower).kernel(),
+        bidiag.inverse(), lower.inverse(), solve_linear(lower, b),
+    ]
+    assert calls == []
+    monkeypatch.undo()
+    product, total, difference, scaled, echelon, ker, wide_ker, binv, linv, solved = (
+        results
+    )
+    assert product == dense_product(bidiag, lower)
+    assert total == entrywise(bidiag, lower, lambda x, y: x + y)
+    assert difference == entrywise(bidiag, lower, lambda x, y: x - y)
+    assert scaled == entrywise(lower, lower, lambda x, _: Fraction(-3, 7) * x)
+    assert echelon[0] == n and ker.cols == 0 and wide_ker.cols == n
+    assert bidiag.hstack(lower) * wide_ker == Matrix.zeros(n, n)
+    assert binv * bidiag == Matrix.identity(n) and lower * linv == Matrix.identity(n)
+    assert lower * solved[0] == b
 
 
 def sympy_of(m):
@@ -296,6 +323,8 @@ def sympy_of(m):
 
 
 def from_sympy(s):
+    if s.rows == 0:
+        return Matrix.zeros(0, s.cols)
     return Matrix([[Fraction(int(x.p), int(x.q)) for x in s.row(i)] for i in range(s.rows)])
 
 
@@ -334,10 +363,11 @@ def test_inverse_matches_sympy(a, unit_diagonal):
 
 
 @given(
-    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    shapes.flatmap(
         lambda s: st.tuples(sparse_matrices(*s), sparse_matrices(s[0], 1), st.booleans())
     )
 )
+@example((Matrix([[], []]), Matrix.zeros(2, 1), True))
 @settings(max_examples=50, deadline=None)
 def test_solve_linear_matches_sympy(case):
     a, b, consistent = case
@@ -356,3 +386,89 @@ def test_solve_linear_matches_sympy(case):
     assert a * particular == b
     assert ker == sympy_columns(sympy_of(a).nullspace(), a.cols)
     assert ker.cols == params.rows
+
+
+# -- integer storage: empty shapes, canonical form, growth ---------------------
+
+
+class TestEmptyShapes:
+    def test_shapes(self):
+        assert Matrix.zeros(0, 3).shape == (0, 3)
+        assert Matrix.zeros(3, 0).shape == (3, 0)
+        assert Matrix.column([]).shape == (0, 1)
+        assert Matrix([]).shape == (0, 0)
+        assert Matrix([[], []]).shape == (2, 0)
+        assert Matrix.zeros(0, 3).transpose().shape == (3, 0)
+        assert Matrix.zeros(3, 0).transpose().shape == (0, 3)
+        assert Matrix.zeros(0, 3) != Matrix.zeros(0, 2)
+
+    def test_solve_without_unknowns(self):
+        a = Matrix.zeros(2, 0)
+        b = Matrix.zeros(2, 1)
+        particular, ker = solve_linear(a, b)
+        assert particular.shape == (0, 1)
+        assert ker.shape == (0, 0)
+        assert a * particular == b
+        assert solve_linear(a, M([[1], [0]])) is None
+
+
+def primitive_results(a, b, s):
+    """One result of each primitive on a and b (same shape) and the scalar s."""
+    square = a * a.transpose()
+    yield a + b
+    yield a - b
+    yield -a
+    yield a.scale(s)
+    yield a.transpose()
+    yield a.hstack(b)
+    yield square
+    yield rref(a)[1]
+    yield a.kernel()
+    yield Subspace.from_columns(a.rows, a).basis
+    if square.rank() == square.rows:
+        yield square.inverse()
+    solved = solve_linear(a, b * Matrix.column([1] * b.cols)) if b.cols else None
+    if solved is not None:
+        yield from solved
+
+
+@given(
+    shapes.flatmap(lambda s: st.tuples(sparse_matrices(*s), sparse_matrices(*s))),
+    st.one_of(st.just(Fraction(0)), nonzero_fractions),
+)
+@settings(max_examples=60, deadline=None)
+def test_results_are_canonical(pair, s):
+    # A result equals the matrix parsed from its own strings, with the same
+    # hash: internal results are stored in the same form as parsed input.
+    a, b = pair
+    for result in primitive_results(a, b, s):
+        if result.rows:
+            parsed = Matrix.from_strings(result.to_strings())
+        else:
+            parsed = Matrix.zeros(0, result.cols)  # no strings to parse
+        assert result == parsed
+        assert hash(result) == hash(parsed)
+    assert (a + b) - b == a
+    assert hash((a + b) - b) == hash(a)
+
+
+def test_hilbert_inverse_closed_form():
+    # H[i, j] = 1/(i + j + 1); its inverse has integer entries
+    # (-1)^(i+j) (i+j+1) C(n+i, n-j-1) C(n+j, n-i-1) C(i+j, i)^2.
+    n = 8
+    h = Matrix([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    expected = Matrix(
+        [
+            [
+                (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1)
+                * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+    assert h.inverse() == expected
+    assert expected.inverse() == h
+    assert solve_linear(h, Matrix.column([1] + [0] * (n - 1)))[0] == Matrix.column(
+        expected.col(0)
+    )

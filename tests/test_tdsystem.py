@@ -125,7 +125,7 @@ class TestAxioms:
         def closure(*args):
             raise AssertionError("word closure run on a pair that fails (ii)")
 
-        monkeypatch.setattr(tdsystem, "_word_closure_dim", closure)
+        monkeypatch.setattr(tdsystem, "algebra_dim", closure)
         p = params(2)
         candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
         with pytest.raises(NotTDSystemError, match=r"axiom\.ii"):
