@@ -391,16 +391,8 @@ class Subspace:
         return cls(ambient_dim, ech._top_rows(rank).transpose())
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return cls.from_columns(ambient_dim, Matrix.from_columns(list(vectors)))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, Matrix.zeros(ambient_dim, 0))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -496,29 +488,24 @@ def eval_factored_poly(a: Matrix, roots: Sequence) -> Matrix:
     return result
 
 
-def algebra_dim(generators: Sequence[Matrix]) -> int:
-    """Dimension of the unital algebra that square matrices generate.
+def spin_dim(start: Matrix, generators: Sequence[Matrix]) -> int:
+    """Dimension of the span of the rows of `start` under right multiplication
+    by the generators.
 
-    Grown level by level from the identity, with the span of the words
-    kept as reduced echelon rows (a word is the row of its n^2 entries).
-    Each level runs one rref over those rows and the products of the
-    generators with the frontier; the rows at new pivots span what the
-    level added, and they are the next frontier.  A word enters as its
-    numerators: scaling a row leaves the span unchanged.
+    Each level runs one rref over the reduced echelon rows so far and the
+    images of the frontier; the rows at new pivots span what the level
+    added, and they are the next frontier.  Rows enter as numerators.
     """
-    n = generators[0].rows
-    echelon, pivots, words = [], (), [Matrix.identity(n)]
-    while words and len(echelon) < n * n:
-        stacked = echelon + [list(chain.from_iterable(w._n)) for w in words]
-        rank, red, new_pivots = rref(Matrix._of(len(stacked), n * n, stacked, 1))
+    n = start.cols
+    echelon, pivots, images = [], set(), [start]
+    while images and len(echelon) < n:
+        stacked = echelon + [row for m in images for row in m._n]
+        rank, red, new_pivots = rref(Matrix._of(len(stacked), n, stacked, 1))
         echelon = list(red._n[:rank])
-        frontier = [
-            Matrix._of(n, n, [row[i * n : (i + 1) * n] for i in range(n)], 1)
-            for row, p in zip(echelon, new_pivots)
-            if p not in pivots
-        ]
-        pivots = new_pivots
-        words = [g * w for w in frontier for g in generators]
+        new = [row for row, p in zip(echelon, new_pivots) if p not in pivots]
+        pivots = set(new_pivots)
+        frontier = Matrix._of(len(new), n, new, 1)
+        images = [frontier * g for g in generators] if new else []
     return len(echelon)
 
 

@@ -13,14 +13,15 @@ from .linalg import Matrix
 class CheckResult:
     """One named exact check.
 
-    `residual` is the witness (left side minus right side, or an offending
-    matrix) kept only on failure.
+    The witness `residual` (left side minus right side, or an offending
+    matrix) and `note`, where the check failed, are kept only on failure.
     """
 
     check_id: str
     anchor: str
     passed: bool
     residual: Matrix | None = None
+    note: str = ""
 
     def to_record(self) -> dict:
         record = {
@@ -47,8 +48,10 @@ class VerificationReport:
         ok = residual.is_zero()
         self.add(CheckResult(check_id, anchor, ok, None if ok else residual))
 
-    def record(self, check_id: str, anchor: str, ok: bool, witness: Matrix | None = None):
-        self.add(CheckResult(check_id, anchor, ok, None if ok else witness))
+    def record(self, check_id: str, anchor: str, ok: bool, witness=None, note=""):
+        if ok:
+            witness, note = None, ""
+        self.add(CheckResult(check_id, anchor, ok, witness, note))
 
     @property
     def all_passed(self) -> bool:

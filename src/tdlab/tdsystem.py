@@ -6,23 +6,36 @@ primitive idempotents) of both matrices in their standard orderings.
 
 Validation builds the eigendata once, in the q-Racah ordering, and
 requires every eigenspace E_i V and E*_i V to be nonzero; it then checks
-axioms (i)-(iii) and, only if they hold, the word closure for (iv).  No
-scan over other orderings is needed: if (ii) and (iv) hold and
-E_{i+1} A* E_i = 0 for some i < d, then W = E_0 V + ... + E_i V is invariant
-under A and A*, and it is a proper nonzero subspace because E_0 V and
-E_d V are nonzero, against irreducibility.  So A* links every consecutive
-pair of eigenspaces, and only the standard ordering and its reversal are
-tridiagonal; dually for A on the E*_i.  Without the nonzero premise the
-argument fails: with E_0 = 0, the ordering (1, ..., d, 0) is tridiagonal
-as well.
+axioms (i)-(iii) and, only if they hold, (iv).  No scan over other
+orderings is needed: if (ii) and (iv) hold and E_{i+1} A* E_i = 0 for some
+i < d, then E_0 V + ... + E_i V is invariant under A and A*, and it is
+proper and nonzero because E_0 V and E_d V are nonzero.  So only the
+standard ordering and its reversal are tridiagonal; dually for A on the
+E*_i.  Without the nonzero premise the argument fails: with E_0 = 0, the
+ordering (1, ..., d, 0) is tridiagonal as well.
+
+Axiom (iv) is Norton's irreducibility test from the MeatAxe (Parker 1984;
+Holt and Rees, J. Austral. Math. Soc. 1994) for theta = A - theta_0 I:
+ker theta = E_0 V, and the rows of E_0 span the w with w theta = 0.  A
+proper invariant W != 0 meets ker theta, and a spin from there stays in W,
+or else theta V contains W, so each such w and its spin vanish on W.  So V
+is irreducible when rho_0 = dim E_0 V = 1, E_0 V spins to V under A and A*,
+and the rows of E_0 spin to all rows under right multiplication.  No
+dimension changes over the algebraic closure, so V is irreducible there
+too: by Burnside's theorem, the word closure of A and A* has dimension n^2.
+Conversely, such a V spins from any nonzero vector.  With rho_0 > 1 the
+pair is refused at once: irreducible over the algebraic closure, it would
+be a TD pair there, hence sharp, rho_0 = 1 (Nomura and Terwilliger, Linear
+Algebra Appl. 2008); so its word closure is below n^2 as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
-from .linalg import Matrix, Rational, Subspace, algebra_dim, rat
+from .linalg import Matrix, Rational, Subspace, rat, spin_dim
 from .report import CheckResult, VerificationReport
 
 
@@ -95,10 +108,6 @@ class EigenData:
     eigenspaces: tuple
     idempotents: tuple
 
-    @property
-    def d(self) -> int:
-        return len(self.eigenvalues) - 1
-
     def reversed(self) -> "EigenData":
         return EigenData(
             tuple(reversed(self.eigenvalues)),
@@ -122,23 +131,26 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
         raise ValueError("eigenvalues must be mutually distinct")
     n = m.rows
     eye = Matrix.identity(n)
+    factors = [m - t * eye for t in evs]
 
     spaces = []
-    for t in evs:
-        ker = (m - t * eye).kernel()
-        spaces.append(Subspace.from_columns(n, ker))
+    for t, f in zip(evs, factors):
+        spaces.append(Subspace.from_columns(n, f.kernel()))
         if spaces[-1].is_zero():
             raise NotDiagonalizableError(f"{t} is not an eigenvalue")
     if sum(s.dim for s in spaces) != n:
         raise NotDiagonalizableError("not diagonalizable with the given spectrum")
 
-    idempotents = []
-    for i, ti in enumerate(evs):
-        e = eye
-        for j, tj in enumerate(evs):
-            if j != i:
-                e = e * (m - tj * eye) * (1 / (ti - tj))
-        idempotents.append(e)
+    # E_i = prod_{j != i} (m - t_j I) / (t_i - t_j): the factors commute, so
+    # E_i is the product of the factors before i and of those after it.
+    before, after = [eye], [eye]
+    for f, g in zip(factors[:-1], reversed(factors[1:])):
+        before.append(before[-1] * f)
+        after.append(g * after[-1])
+    idempotents = [
+        lo * hi * (1 / prod(ti - tj for tj in evs if tj != ti))
+        for ti, lo, hi in zip(evs, before, reversed(after))
+    ]
 
     data = EigenData(evs, tuple(spaces), tuple(idempotents))
     _verify_eigendata(m, data)
@@ -200,42 +212,42 @@ def verify_td_axioms(
     """Check the four tridiagonal-pair axioms for the given orderings.
 
     Failures are report entries carrying a witness, not exceptions.
-    Axiom (iv) is recorded only when (i)-(iii) passed.
+    Axiom (iv), the dearest, is recorded only when (i)-(iii) passed, so
+    that rejection stays fast.
     """
     report = VerificationReport()
     n = a.rows
-    ok_diag = sum(s.dim for s in eig.eigenspaces) == n
-    ok_diag_star = sum(s.dim for s in eigstar.eigenspaces) == n
-    report.record("axiom.i.A", "diagonalizability of A", ok_diag)
-    report.record("axiom.i.Astar", "diagonalizability of A*", ok_diag_star)
+    for check_id, name, data in (("axiom.i.A", "A", eig),
+                                 ("axiom.i.Astar", "A*", eigstar)):
+        span = sum(s.dim for s in data.eigenspaces)
+        report.record(check_id, f"diagonalizability of {name}", span == n,
+                      note=f"eigenspaces span {span} of {n} dimensions")
 
-    ok, pair = _tridiagonal_ok(astar, eig.idempotents)
-    report.record(
-        "axiom.ii",
-        "A* acts block-tridiagonally on the A-eigenspace ordering",
-        ok,
-        None
-        if ok
-        else eig.idempotents[pair[1]] * astar * eig.idempotents[pair[0]],
-    )
-    ok, pair = _tridiagonal_ok(a, eigstar.idempotents)
-    report.record(
-        "axiom.iii",
-        "A acts block-tridiagonally on the A*-eigenspace ordering",
-        ok,
-        None
-        if ok
-        else eigstar.idempotents[pair[1]] * a * eigstar.idempotents[pair[0]],
-    )
+    for check_id, anchor, op, idems, block in (
+        ("axiom.ii", "A* acts block-tridiagonally on the A-eigenspace ordering",
+         astar, eig.idempotents, "E_{1} A* E_{0} != 0"),
+        ("axiom.iii", "A acts block-tridiagonally on the A*-eigenspace ordering",
+         a, eigstar.idempotents, "E*_{1} A E*_{0} != 0"),
+    ):
+        ok, pair = _tridiagonal_ok(op, idems)
+        if ok:
+            report.record(check_id, anchor, True)
+        else:
+            i, j = pair
+            report.record(check_id, anchor, False, idems[j] * op * idems[i],
+                          block.format(i, j))
 
-    # The closure is by far the dearest check: run it only on a pair that
-    # passed (i)-(iii), so that rejection stays fast.
     if report.all_passed:
-        report.record(
-            "axiom.iv",
-            "no common invariant subspace (word closure reaches dim n^2)",
-            algebra_dim((a, astar)) == n * n,
-        )
+        e0, rho0 = eig.idempotents[0], eig.eigenspaces[0].dim
+        if rho0 > 1:
+            ok, note = False, f"rho_0 = dim E_0 V = {rho0} > 1"
+        else:
+            col = spin_dim(e0.transpose(), (a.transpose(), astar.transpose()))
+            row = spin_dim(e0, (a, astar))
+            ok = col == row == n
+            note = f"spins from E_0 reach {col} in V and {row} in V*, of {n}"
+        report.record("axiom.iv", "no common invariant subspace (Norton's test)",
+                      ok, note=note)
     return report
 
 
@@ -245,10 +257,8 @@ def find_standard_orderings(
     """Eigendata of a and astar in the standard q-Racah orderings.
 
     Returns (eig, eigstar), the eigenvalues ordered by the q-Racah
-    formulas; every eigenvalue must have an eigenvector.  Other orderings
-    need no scan: with every eigenspace nonzero and the axioms holding,
-    only this ordering and its reversal are tridiagonal (see the module
-    docstring), and `verify_td_axioms` checks the axioms afterwards.
+    formulas; every eigenvalue must have an eigenvector.  No other ordering
+    needs a scan (see the module docstring).
     """
     theta, theta_star = qracah_eigenvalues(params)
     try:
@@ -262,12 +272,12 @@ def find_standard_orderings(
 def make_instance(a: Matrix, astar: Matrix, params: QRacahParams) -> TDSystemInstance:
     """Validate (a, astar) as a TD system of q-Racah type.
 
-    Checks in order of cost: eigendata, axioms (i)-(iii), word closure.
+    Checks in order of cost: eigendata, axioms (i)-(iii), Norton's test (iv).
     """
     eig, eigstar = find_standard_orderings(a, astar, params)
     report = verify_td_axioms(a, astar, eig, eigstar)
     if not report.all_passed:
-        failed = ", ".join(e.check_id for e in report.failures)
+        failed = ", ".join(f"{e.check_id} ({e.note})" for e in report.failures)
         raise NotTDSystemError(f"TD axioms failed: {failed}")
     return TDSystemInstance(params, a, astar, eig, eigstar)
 

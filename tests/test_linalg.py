@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import span, whole
 from tdlab.linalg import (
     AffineSolutions,
     Matrix,
@@ -22,10 +23,6 @@ from tdlab.linalg import (
 
 def M(rows):
     return Matrix(rows)
-
-
-def span(n, *vectors):
-    return Subspace.from_vectors(n, vectors)
 
 
 class TestRref:
@@ -83,7 +80,7 @@ class TestMatrix:
 class TestSubspaceLattice:
     def test_sum_spans_plane(self):
         s = subspace_sum(span(2, (1, 0)), span(2, (0, 1)))
-        assert s == Subspace.full(2)
+        assert s == whole(2)
 
     def test_sum_idempotent(self):
         s = span(3, (1, 2, 3), (0, 1, 1))
@@ -99,7 +96,7 @@ class TestSubspaceLattice:
         assert subspace_intersect(span(2, (1, 0)), span(2, (0, 1))).is_zero()
 
     def test_intersect_identity(self):
-        v = Subspace.full(3)
+        v = whole(3)
         assert subspace_intersect(v, v) == v
 
     def test_intersect_line(self):
@@ -141,8 +138,8 @@ small_matrices = st.lists(
 @given(small_matrices, small_matrices)
 @settings(max_examples=60, deadline=None)
 def test_modular_law(gen_s, gen_t):
-    s = Subspace.from_vectors(4, gen_s)
-    t = Subspace.from_vectors(4, gen_t)
+    s = span(4, *gen_s)
+    t = span(4, *gen_t)
     total = subspace_sum(s, t)
     meet = subspace_intersect(s, t)
     assert total.contains(s) and total.contains(t)
@@ -188,7 +185,7 @@ class TestCommutantSolver:
         # oracle for the W1 lowering map: direct linear solve
         r = M([[0, 0], [1, 0]])
         c = M([["9/4", 0], [0, "-9/4"]])
-        k0 = Subspace.from_vectors(2, [(1, 0)])
+        k0 = span(2, (1, 0))
         sols = solve_commutant_constraint(r, c, [k0])
         assert sols.is_unique
         assert sols.solution == M([[0, "9/4"], [0, 0]])

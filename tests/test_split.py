@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import span, whole
 from tdlab import forge
 from tdlab.linalg import (
     Matrix,
@@ -47,16 +48,16 @@ def any_app(any_sys):
 def test_w1_first_split(w1):
     u = split_decomposition(w1, "first")
     assert u == (
-        Subspace.from_vectors(2, [(1, 0)]),
-        Subspace.from_vectors(2, [(0, 1)]),
+        span(2, (1, 0)),
+        span(2, (0, 1)),
     )
 
 
 def test_w1_second_split(w1):
     udd = split_decomposition(w1, "second")
     assert udd == (
-        Subspace.from_vectors(2, [(1, 0)]),
-        Subspace.from_vectors(2, [(4, 1)]),
+        span(2, (1, 0)),
+        span(2, (4, 1)),
     )
 
 
@@ -126,8 +127,8 @@ def test_Ki_is_intersection(any_sys, any_app):
 
 
 def test_w1_cells(w1_app):
-    assert w1_app.cell(0, 0).space == Subspace.from_vectors(2, [(1, 0)])
-    assert w1_app.cell(0, 1).space == Subspace.from_vectors(2, [(0, 1)])
+    assert w1_app.cell(0, 0).space == span(2, (1, 0))
+    assert w1_app.cell(0, 1).space == span(2, (0, 1))
 
 
 def test_cell_diagonal_is_Ki(any_app):
@@ -175,7 +176,7 @@ def test_w1_minpoly_is_characteristic(w1, w1_app):
     # at d = 1 the length-2 factored product annihilates all of V
     entry = verify_minpoly_on_MKi(w1, w1_app, 0)
     assert entry.passed
-    assert w1_app.mk_space(0) == Subspace.full(2)
+    assert w1_app.mk_space(0) == whole(2)
 
 
 def test_compute_K_spaces_retains_zero_spaces():

@@ -3,10 +3,11 @@ from itertools import permutations
 from math import prod
 
 import pytest
+from helpers import span
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
-from tdlab import forge, tdsystem
-from tdlab.linalg import Matrix, Subspace, eval_factored_poly
+from tdlab import forge, linalg, tdsystem
+from tdlab.linalg import Matrix, eval_factored_poly
 from tdlab.tdsystem import (
     EigenData,
     NotDiagonalizableError,
@@ -26,6 +27,83 @@ F = Fraction
 
 def params(d, q=2, a=3, b=5):
     return QRacahParams(d, F(q), F(a), F(b))
+
+
+# Points of the axiom-(ii) solution space of L(2) + 2 L(0), shape (1,3,1),
+# and of L(3) + L(1), shape (1,2,2,1), each with q = 2, a = 3, b = 3: the
+# first passes (i)-(iii) and fails (iv), the second fails (iii).
+SHAPE_131_FAILS_IV = (
+    (
+        Matrix.from_strings([
+            ["145/12", "0", "0", "0", "0"],
+            ["3/2", "10/3", "0", "0", "0"],
+            ["0", "0", "10/3", "0", "0"],
+            ["0", "0", "0", "10/3", "0"],
+            ["0", "15/4", "0", "0", "25/12"],
+        ]),
+        Matrix.from_strings([
+            ["145/12", "-275/6", "-2", "-1", "0"],
+            ["0", "10/3", "0", "0", "5/3"],
+            ["0", "0", "10/3", "0", "1/3"],
+            ["0", "0", "0", "10/3", "-7/3"],
+            ["0", "0", "0", "0", "25/12"],
+        ]),
+    ),
+    params(2, 2, 3, 3),
+)
+SHAPE_1221_FAILS_III = (
+    (
+        Matrix.from_strings([
+            ["577/24", "0", "0", "0", "0", "0"],
+            ["3/2", "37/6", "0", "0", "0", "0"],
+            ["0", "0", "37/6", "0", "0", "0"],
+            ["0", "15/4", "0", "13/6", "0", "0"],
+            ["0", "0", "3/2", "0", "13/6", "0"],
+            ["0", "0", "0", "63/8", "0", "73/24"],
+        ]),
+        Matrix.from_strings([
+            ["577/24", "-1015/4", "-21/2", "0", "0", "0"],
+            ["0", "37/6", "0", "-955/48", "-2", "0"],
+            ["0", "0", "37/6", "1/3", "-1", "0"],
+            ["0", "0", "0", "13/6", "0", "5/3"],
+            ["0", "0", "0", "0", "13/6", "1/3"],
+            ["0", "0", "0", "0", "0", "73/24"],
+        ]),
+    ),
+    params(3, 2, 3, 3),
+)
+
+# A non-split extension of fixture(2) by a common eigenvector of A and A*
+# (eigenvalues theta_1, theta*_1), q = 2, a = 3, b = 5: (i)-(iii) hold, E_0 V
+# spins to V, and only the spin of the rows of E_0 sees the invariant line.
+EXTENSION_FAILS_IV = (
+    (
+        Matrix.from_strings([
+            ["10/3", "-2", "0", "0"],
+            ["0", "145/12", "0", "0"],
+            ["0", "1", "10/3", "0"],
+            ["0", "0", "1", "25/12"],
+        ]),
+        Matrix.from_strings([
+            ["26/5", "-297/10", "-2", "1"],
+            ["0", "401/20", "1", "0"],
+            ["0", "0", "26/5", "127"],
+            ["0", "0", "0", "41/20"],
+        ]),
+    ),
+    params(2),
+)
+
+
+def _direct_sum(x, y):
+    zx, zy = [0] * x.cols, [0] * y.cols
+    return Matrix([list(r) + zy for r in map(x.row, range(x.rows))]
+                  + [zx + list(r) for r in map(y.row, range(y.rows))])
+
+
+def _doubled(sys):
+    """The direct sum of an instance with itself: (i)-(iii) hold, rho_0 = 2."""
+    return (_direct_sum(sys.A, sys.A), _direct_sum(sys.Astar, sys.Astar)), sys.params
 
 
 class TestParams:
@@ -69,7 +147,7 @@ class TestEigendata:
     def test_w1_eigenline(self):
         w1 = forge.fixture(1)
         data = build_eigendata(w1.A, [F(37, 6), F(13, 6)])
-        assert data.eigenspaces[0] == Subspace.from_vectors(2, [(4, 1)])
+        assert data.eigenspaces[0] == span(2, (4, 1))
 
     def test_nilpotent_rejected(self):
         with pytest.raises(NotDiagonalizableError):
@@ -109,7 +187,7 @@ class TestAxioms:
         failed = {e.check_id for e in report.failures}
         assert failed == {"axiom.iv"}
 
-        # a pair that fails (ii) never reaches the word closure
+        # a pair that fails (ii) never reaches the irreducibility test
         sys2 = forge.fixture(2)
         e = sys2.eig
         swapped = EigenData(
@@ -122,10 +200,10 @@ class TestAxioms:
         assert "axiom.iv" not in {e.check_id for e in report}
 
     def test_rejection_names_axiom_before_closure(self, monkeypatch):
-        def closure(*args):
-            raise AssertionError("word closure run on a pair that fails (ii)")
+        def spin(*args):
+            raise AssertionError("irreducibility spin run on a pair that fails (ii)")
 
-        monkeypatch.setattr(tdsystem, "algebra_dim", closure)
+        monkeypatch.setattr(tdsystem, "spin_dim", spin)
         p = params(2)
         candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
         with pytest.raises(NotTDSystemError, match=r"axiom\.ii"):
@@ -138,6 +216,49 @@ class TestAxioms:
         swapped = (idems[1], idems[0], idems[2])
         assert _tridiagonal_ok(sys2.Astar, idems)[0]
         assert not _tridiagonal_ok(sys2.Astar, swapped)[0]
+
+
+class TestFailureMessages:
+    """A refusal names each failed axiom with its witness."""
+
+    def test_tridiagonality_witness_pairs(self):
+        p = params(2)
+        candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
+        with pytest.raises(
+            NotTDSystemError,
+            match=r"^TD axioms failed: axiom\.ii \(E_2 A\* E_0 != 0\), "
+            r"axiom\.iii \(E\*_0 A E\*_2 != 0\)$",
+        ):
+            forge.validate(candidate, p)
+
+    def test_axiom_iii_witness_pair(self):
+        with pytest.raises(
+            NotTDSystemError,
+            match=r"^TD axioms failed: axiom\.iii \(E\*_0 A E\*_2 != 0\)$",
+        ):
+            forge.validate(*SHAPE_1221_FAILS_III)
+
+    @pytest.mark.parametrize(
+        "case, reached",
+        [(SHAPE_131_FAILS_IV, "4 in V and 4 in V\\*, of 5"),
+         (EXTENSION_FAILS_IV, "4 in V and 3 in V\\*, of 4")],
+        ids=["shape-131", "extension"],
+    )
+    def test_spin_dimensions(self, case, reached):
+        with pytest.raises(
+            NotTDSystemError,
+            match=rf"^TD axioms failed: axiom\.iv \(spins from E_0 reach {reached}\)$",
+        ):
+            forge.validate(*case)
+
+    def test_rho0_above_one(self):
+        (a, astar), p = _doubled(forge.fixture(2))
+        with pytest.raises(
+            NotTDSystemError,
+            match=r"^TD axioms failed: axiom\.iv \(rho_0 = dim E_0 V = 2 > 1\)$",
+        ):
+            forge.validate((a, astar), p)
+        assert _closure_dim_by_word(a, astar) < a.rows**2
 
 
 class TestOrderings:
@@ -157,6 +278,43 @@ class TestOrderings:
             find_standard_orderings(
                 Matrix.diagonal([2, 3]), Matrix.diagonal([5, 7]), params(1)
             )
+
+
+def _leonard_candidate(d, c, q=2, a=3, b=5):
+    """The split-form Leonard pair whose phi_1 is c + (th*_1 - th*_0)(th_0 - th_d).
+
+    phi_i = c sum_{h<i} (th_h - th_{d-h}) / (th_0 - th_d)
+            + (th*_i - th*_0)(th_{i-1} - th_d),
+    the parameter-array line of the split form (Terwilliger, LAA 330, 2001).
+    """
+    p = params(d, q, a, b)
+    th, ts = qracah_eigenvalues(p)
+    phi = [
+        c * sum(th[h] - th[d - h] for h in range(i)) / (th[0] - th[d])
+        + (ts[i] - ts[0]) * (th[i - 1] - th[d])
+        for i in range(1, d + 1)
+    ]
+    return forge.build_split_form(forge.SplitFormSpec(p, phi)), p
+
+
+def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
+    """Validation of a d = 10 Leonard pair runs no rref wider than n = 11.
+
+    The word closure eliminated rows of n^2 entries; a reintroduced closure
+    fails here without any timing.
+    """
+    candidate, p = _leonard_candidate(10, F(1))
+    n, widths = candidate[0].rows, []
+    original = linalg.rref
+
+    def narrow_rref(m):
+        widths.append(m.cols)
+        assert m.cols <= n, f"rref of a {m.rows} x {m.cols} matrix"
+        return original(m)
+
+    monkeypatch.setattr(linalg, "rref", narrow_rref)
+    assert forge.validate(candidate, p).dim == n
+    assert max(widths) == n
 
 
 # The brute-force ordering scan that validation once ran, kept as an
@@ -215,7 +373,12 @@ def oracle_inputs():
     shape = (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR))
     out = [((s.A, s.Astar), s.params) for s in map(forge.fixture, (1, 2, 3))]
     s3 = second_inversion(forge.fixture(3))
-    return out + [((s3.A, s3.Astar), s3.params), (shape, SHAPE_PARAMS)]
+    out += [((s3.A, s3.Astar), s3.params), (shape, SHAPE_PARAMS)]
+    # refused at (iv): by the spins, and with rho_0 = 2
+    return out + [SHAPE_131_FAILS_IV, EXTENSION_FAILS_IV, _doubled(forge.fixture(2))]
+
+
+VALID_ORACLE_INPUTS = 5
 
 
 def _verdict(fn, candidate, p):
@@ -226,7 +389,7 @@ def _verdict(fn, candidate, p):
     return None
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(VALID_ORACLE_INPUTS))
 def test_only_standard_orderings_are_tridiagonal(case, oracle_inputs):
     candidate, p = oracle_inputs[case]
     sys = forge.validate(candidate, p)
@@ -235,7 +398,7 @@ def test_only_standard_orderings_are_tridiagonal(case, oracle_inputs):
     assert _tridiagonal_orderings(sys.A, sys.eigstar.idempotents) == expected
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(VALID_ORACLE_INPUTS + 3))
 def test_validate_agrees_with_scan_pipeline(case, oracle_inputs):
     (a, astar), p = oracle_inputs[case]
     # The diagonal pair passes (ii) and (iii) in every ordering and fails (iv).
@@ -249,7 +412,8 @@ def test_validate_agrees_with_scan_pipeline(case, oracle_inputs):
         expected = _verdict(_scan_pipeline, candidate, p)
         assert _verdict(forge.validate, candidate, p) is expected
         verdicts.append(expected)
-    assert verdicts[0] is None and NotTDSystemError in verdicts
+    assert (verdicts[0] is None) is (case < VALID_ORACLE_INPUTS)
+    assert NotTDSystemError in verdicts
 
 
 def test_empty_eigenspace_fails_validation():

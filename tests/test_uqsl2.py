@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import span
 from tdlab import forge
-from tdlab.linalg import Matrix, Subspace
+from tdlab.linalg import Matrix
 from tdlab.psi import build_operator_set
 from tdlab.split import build_apparatus
 from tdlab.tdsystem import second_inversion
@@ -110,15 +111,15 @@ class TestWeights:
     def test_w1_first_structure_weights(self, w1, w1_app, w1_ops):
         action = first_structure(w1, w1_app, w1_ops.R, w1_ops.psi)
         weights, highest = weight_decomposition(action, [F(2), F(1, 2)])
-        assert weights[F(2)] == Subspace.from_vectors(2, [(1, 0)])
-        assert weights[F(1, 2)] == Subspace.from_vectors(2, [(0, 1)])
+        assert weights[F(2)] == span(2, (1, 0))
+        assert weights[F(1, 2)] == span(2, (0, 1))
         assert highest[F(2)] == w1_app.Kspaces[0]
         assert highest[F(1, 2)].is_zero()
 
     def test_w1_second_structure_weights(self, w1, w1_app, w1_ops):
         action = second_structure(w1, w1_app, w1_ops.Rdd, w1_ops.psi)
         weights, highest = weight_decomposition(action, [F(2), F(1, 2)])
-        assert weights[F(1, 2)] == Subspace.from_vectors(2, [(4, 1)])
+        assert weights[F(1, 2)] == span(2, (4, 1))
         assert weights[F(1, 2)] == w1_app.Udd[1]
         assert highest[F(2)] == w1_app.Kspaces[0]
 
