@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import forge
@@ -75,7 +74,7 @@ def cmd_generate(args) -> int:
             print(f"invalid phi: {exc}", file=_sys.stderr)
             return EXIT_INVALID
     else:
-        phi = (Fraction(1),) * params.d
+        phi = forge.leonard_phi(params)
     try:
         spec = forge.SplitFormSpec(params, phi)
         instance = forge.validate(forge.build_split_form(spec), params)

@@ -1,11 +1,12 @@
-"""Produce validated instances: split-form builder, superdiagonal search,
-and JSON ingest/export.
+"""Produce validated instances: the split-form Leonard pairs and JSON
+ingest/export.
 
 In the split basis A is lower bidiagonal with the eigenvalue sequence on
 the diagonal and all-ones subdiagonal (basis rescaling freedom); A* is
 upper bidiagonal with the dual sequence and superdiagonal phi_1 .. phi_d.
-For d >= 2 not every nonzero phi yields a tridiagonal pair: candidates
-are accepted only by the axiom verifier.
+For d >= 2 not every nonzero phi yields a tridiagonal pair: axiom (ii)
+holds exactly on the line `leonard_phi`, one point per phi_1.  Every
+candidate, on the line or not, is accepted only by the axiom verifier.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 from .linalg import Matrix, rat, rat_str
 from .tdsystem import (
-    NotTDSystemError,
     QRacahParams,
     TDSystemInstance,
     make_instance,
@@ -65,65 +64,28 @@ def validate(candidate: tuple, params: QRacahParams) -> TDSystemInstance:
     return make_instance(*candidate, params)
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Deterministic enumeration of candidate superdiagonals.
+def leonard_phi(params: QRacahParams, phi1=Fraction(1)) -> tuple:
+    """The superdiagonal of the split-form Leonard pair with first entry phi1.
 
-    Either a grid of small rationals (numerators x denominators per slot)
-    or an affine one-parameter family phi(t) = base + t * step with t
-    drawn from the same scalar grid.
+    For this split form the parameter-array conditions make phi affine in
+    one free scalar (Terwilliger, Linear Algebra Appl. 330, 2001; the
+    q-Racah form in Linear Algebra Appl. 387, 2004):
+
+        phi_i = c sum_{h<i} (th_h - th_{d-h}) / (th_0 - th_d)
+                + (th*_i - th*_0)(th_{i-1} - th_d),
+
+    with c = phi1 - (th*_1 - th*_0)(th_0 - th_d), the first entry of the
+    companion sequence.  Nothing is checked here: a point where some phi_i
+    or a companion entry vanishes is refused by `validate`.
     """
-
-    numerators: tuple = tuple(range(-4, 5))
-    denominators: tuple = (1, 2, 3)
-    family_base: tuple | None = None
-    family_step: tuple | None = None
-
-    def scalars(self) -> list:
-        seen = []
-        for num in self.numerators:
-            for den in self.denominators:
-                value = Fraction(num, den)
-                if value not in seen:
-                    seen.append(value)
-        return seen
-
-    def candidates(self, d: int) -> Iterator[tuple]:
-        if self.family_base is not None:
-            base = tuple(rat(x) for x in self.family_base)
-            step = tuple(rat(x) for x in self.family_step or ())
-            if len(base) != d or len(step) != d:
-                raise ValueError("family vectors must have length d")
-            for t in self.scalars():
-                phi = tuple(b + t * s for b, s in zip(base, step))
-                if all(x != 0 for x in phi):
-                    yield phi
-            return
-
-        def rec(prefix: tuple) -> Iterator[tuple]:
-            if len(prefix) == d:
-                yield prefix
-                return
-            for s in self.scalars():
-                if s != 0:
-                    yield from rec(prefix + (s,))
-
-        yield from rec(())
-
-
-def search_phi(params: QRacahParams, space: SearchSpace | None = None) -> list:
-    """All superdiagonal sequences in the space that validate."""
-    space = space or SearchSpace()
-    found = []
-    for phi in space.candidates(params.d):
-        try:
-            validate(build_split_form(SplitFormSpec(params, phi)), params)
-        except (NotTDSystemError, ValueError):
-            continue
-        found.append(phi)
-    if not found:
-        raise NotTDSystemError("no instance found in search space")
-    return found
+    d = params.d
+    th, ts = qracah_eigenvalues(params)
+    c = rat(phi1) - (ts[1] - ts[0]) * (th[0] - th[d])
+    phi, partial = [], Fraction(0)
+    for i in range(1, d + 1):
+        partial += th[i - 1] - th[d - i + 1]
+        phi.append(c * partial / (th[0] - th[d]) + (ts[i] - ts[0]) * (th[i - 1] - th[d]))
+    return tuple(phi)
 
 
 def export_instance_dict(sys: TDSystemInstance) -> dict:
@@ -176,18 +138,12 @@ def ingest(path) -> TDSystemInstance:
     return parse_instance_dict(data)
 
 
-# Frozen fixtures.  The d = 1 superdiagonal is free; for d in {2, 3} the
-# values were discovered by searching the one-parameter solution family
-# of the tridiagonality constraints and confirmed by the axiom verifier.
-FIXTURE_PHI = {
-    1: (Fraction(1),),
-    2: (Fraction(1), Fraction(127)),
-    3: (Fraction(21, 2), Fraction(41255, 64), Fraction(672)),
-}
-
-
 def fixture(d: int) -> TDSystemInstance:
-    """The frozen test fixture at diameter d (q = 2, a = 3, b = 5)."""
+    """The frozen test fixture at diameter d (q = 2, a = 3, b = 5).
+
+    Each fixture is one point of `leonard_phi`'s line, named by its phi_1.
+    """
     params = QRacahParams(d, Fraction(2), Fraction(3), Fraction(5))
-    spec = SplitFormSpec(params, FIXTURE_PHI[d])
+    phi1 = {1: Fraction(1), 2: Fraction(1), 3: Fraction(21, 2)}[d]
+    spec = SplitFormSpec(params, leonard_phi(params, phi1))
     return validate(build_split_form(spec), params)

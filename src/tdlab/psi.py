@@ -120,8 +120,14 @@ def build_operator_set(sys: TDSystemInstance, apparatus: SplitApparatus) -> Oper
     psi = build_psi_from_formula(sys, apparatus)
     # The solver also imposes psi K_i = 0, so agreement is more than a
     # recomputation of the formula.
-    if psi != build_psi_from_solver(sys, apparatus, r):
-        raise OperatorError("formula and solver constructions of psi disagree")
+    solved = build_psi_from_solver(sys, apparatus, r)
+    if psi != solved:
+        diff = [(i, j) for i in range(psi.rows) for j in range(psi.cols)
+                if psi[i, j] != solved[i, j]]
+        raise OperatorError(
+            f"formula and solver constructions of psi disagree at {len(diff)} of "
+            f"{psi.rows * psi.cols} entries, first at (row, col) = {diff[0]}"
+        )
     scale = 1 / (q - 1 / q)
     lam = casimir_action(scale * psi, scale * r, apparatus.Kop, apparatus.Kinv, q)
     return OperatorSet(r, rdd, psi, lam)

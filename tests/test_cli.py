@@ -45,10 +45,21 @@ class TestGenerate:
         assert code == 2
 
     def test_non_instance_phi_exit_2(self, capsys):
-        # default all-ones superdiagonal is not on the d = 2 constraint surface
-        code = cli.main(["generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5"])
+        # the all-ones superdiagonal is off the d = 2 Leonard line
+        code = cli.main(["generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5",
+                         "--phi", "1,1"])
         assert code == 2
         assert "validation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_default_phi_is_an_instance(self, d, tmp_path):
+        path = tmp_path / "inst.json"
+        argv = ["--d", str(d), "--q", "2", "--a", "3", "--b", "5"]
+        assert cli.main(["generate", *argv, "--out", str(path)]) == 0
+        if d <= 2:
+            assert path.read_text() == forge.format_instance(forge.fixture(d))
+        for command in ("verify", "decompose"):
+            assert cli.main([command, "--instance", str(path)]) == 0
 
     def test_unwritable_out_exit_3(self, capsys):
         code = cli.main(["generate", *W1_ARGS, "--out", "/nonexistent-dir/x.json"])

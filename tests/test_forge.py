@@ -2,27 +2,36 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import load_perfbench
 
 from tdlab import forge
 from tdlab.forge import (
-    FIXTURE_PHI,
     IngestError,
-    SearchSpace,
     SplitFormSpec,
     build_split_form,
     export_instance,
     fixture,
     format_instance,
     ingest,
-    search_phi,
+    leonard_phi,
     validate,
 )
 from tdlab.linalg import Matrix
-from tdlab.tdsystem import NotTDSystemError, ParameterError, QRacahParams
+from tdlab.tdsystem import NotTDSystemError, QRacahParams, qracah_eigenvalues
 
 F = Fraction
 
 W1_PARAMS = QRacahParams(1, F(2), F(3), F(5))
+W2_PARAMS = QRacahParams(2, F(2), F(3), F(5))
+gen = load_perfbench("gen")  # the benchmark's inputs, built without tdlab
+
+
+def _validates(params, phi) -> bool:
+    try:
+        validate(build_split_form(SplitFormSpec(params, phi)), params)
+    except NotTDSystemError:
+        return False
+    return True
 
 
 class TestSplitForm:
@@ -51,38 +60,54 @@ class TestSplitForm:
             validate(candidate, params)
 
 
-class TestSearch:
-    def test_grid_search_d1(self):
-        found = search_phi(W1_PARAMS, SearchSpace(numerators=(1, 2), denominators=(1,)))
-        assert found == [(F(1),), (F(2),)]
+class TestLeonardPhi:
+    @pytest.mark.parametrize("qab", [(2, 3, 5), (3, F(1, 2), 7)], ids=["q2-a3-b5", "q3-a1_2-b7"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_line_is_axiom_ii_solution_set(self, d, qab):
+        """The line is all of the axiom-(ii) solutions that gen.py solves for."""
+        q, a, b = map(F, qab)
+        params = QRacahParams(d, q, a, b)
+        *_, particular, kernel = gen.leonard_phi_line(d, q, a, b)
+        direction = [x - y for x, y in zip(leonard_phi(params, 1), leonard_phi(params, 0))]
+        assert direction[0] == 1
+        assert len(kernel) == 1
+        assert list(kernel[0]) == [kernel[0][0] * x for x in direction]
+        assert leonard_phi(params, particular[0]) == tuple(particular)
 
-    def test_d1_every_nonzero_phi_works(self):
-        found = search_phi(W1_PARAMS)
-        space = SearchSpace()
-        assert len(found) == len(list(space.candidates(1)))
+    def test_d1_line_is_phi1(self):
+        for phi1 in (F(1), F(2), F(-7, 3)):
+            assert leonard_phi(W1_PARAMS, phi1) == (phi1,)
 
-    def test_small_grid_fails_at_d2(self):
-        params = QRacahParams(2, F(2), F(3), F(5))
-        space = SearchSpace(numerators=(-1, 1), denominators=(1, 2))
-        with pytest.raises(NotTDSystemError, match="no instance found"):
-            search_phi(params, space)
+    def test_d1_every_nonzero_phi1_validates(self):
+        for num in (-4, -3, -2, -1, 1, 2, 3, 4):
+            for den in (1, 2, 3):
+                assert _validates(W1_PARAMS, leonard_phi(W1_PARAMS, F(num, den)))
 
-    def test_affine_family_search_d2(self):
-        # the constraint surface is the line (t - 126, t)
-        params = QRacahParams(2, F(2), F(3), F(5))
-        space = SearchSpace(
-            numerators=(125, 126, 127, 128),
-            denominators=(1,),
-            family_base=(F(-126), F(0)),
-            family_step=(F(1), F(1)),
-        )
-        found = search_phi(params, space)
-        assert FIXTURE_PHI[2] in found
-        assert (F(-126 + 125), F(125)) in found
+    def test_d2_line(self):
+        for t in (F(1), F(125), F(126), F(128)):
+            assert leonard_phi(W2_PARAMS, t) == (t, t + 126)
+            assert _validates(W2_PARAMS, (t, t + 126))
 
-    def test_degenerate_params_fail_before_search(self):
-        with pytest.raises(ParameterError):
-            QRacahParams(1, F(1), F(3), F(5))
+    def test_off_line_grid_points_refused_at_d2(self):
+        grid = [F(n, k) for n in (-1, 1) for k in (1, 2)]
+        for phi in ((x, y) for x in grid for y in grid):
+            assert leonard_phi(W2_PARAMS, phi[0]) != phi
+            assert not _validates(W2_PARAMS, phi)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_companion_refused(self, d):
+        # c = phi_1 - (th*_1 - th*_0)(th_0 - th_d) is the companion's first entry
+        params = QRacahParams(d, F(2), F(3), F(5))
+        th, ts = qracah_eigenvalues(params)
+        phi = leonard_phi(params, (ts[1] - ts[0]) * (th[0] - th[d]))
+        assert all(phi)
+        with pytest.raises(NotTDSystemError, match=r"axiom\.iv"):
+            validate(build_split_form(SplitFormSpec(params, phi)), params)
+
+    def test_zero_entry_refused(self):
+        # phi_2 = phi_1 + 126 vanishes at phi_1 = -126
+        with pytest.raises(ValueError, match="nonzero"):
+            SplitFormSpec(W2_PARAMS, leonard_phi(W2_PARAMS, -126))
 
 
 class TestFixtures:
@@ -92,10 +117,10 @@ class TestFixtures:
         assert sys.d == d
         assert sys.params.q == 2
 
-    def test_fixture_phi_on_constraint_surface(self):
-        phi = FIXTURE_PHI[3]
-        assert phi[0] == phi[2] - F(1323, 2)
-        assert phi[1] == F(25, 21) * phi[2] - F(9945, 64)
+    def test_fixture_phi_on_line(self):
+        params = QRacahParams(3, F(2), F(3), F(5))
+        assert leonard_phi(params, F(21, 2)) == (F(21, 2), F(41255, 64), F(672))
+        assert fixture(3).Astar[0, 1] == F(21, 2)
 
 
 class TestRoundTrip:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdlab import forge
+from tdlab import forge, psi
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import (
     OperatorError,
@@ -71,6 +71,20 @@ def test_psi_formula_equals_solver(d):
     app = build_apparatus(sys)
     r = build_R(sys, app)
     assert build_psi_from_formula(sys, app) == build_psi_from_solver(sys, app, r)
+
+
+def test_psi_disagreement_names_entries(monkeypatch):
+    sys = forge.fixture(3)
+    app = build_apparatus(sys)
+    solved = build_psi_from_solver(sys, app, build_R(sys, app))
+    rows = [list(solved.row(i)) for i in range(solved.rows)]
+    rows[2][1] += 1
+    monkeypatch.setattr(psi, "build_psi_from_solver", lambda *args: Matrix(rows))
+    with pytest.raises(
+        OperatorError,
+        match=r"disagree at 1 of 16 entries, first at \(row, col\) = \(2, 1\)$",
+    ):
+        build_operator_set(sys, app)
 
 
 def test_psi_lowers_first_split(w1_app, w1_ops):

@@ -6,22 +6,11 @@ benchmark run.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
+from helpers import load_perfbench
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 
 
 @pytest.mark.parametrize("span,module,attr", spans.SPANS)

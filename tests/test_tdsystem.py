@@ -7,7 +7,7 @@ from helpers import span
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
 from tdlab import forge, linalg, tdsystem
-from tdlab.linalg import Matrix, eval_factored_poly
+from tdlab.linalg import Matrix, Subspace, eval_factored_poly
 from tdlab.tdsystem import (
     EigenData,
     NotDiagonalizableError,
@@ -159,17 +159,27 @@ class TestEigendata:
             build_eigendata(Matrix.diagonal([2, 2]), [2, 3])
 
     def test_invariants(self):
-        w1 = forge.fixture(1)
-        for m, data in ((w1.A, w1.eig), (w1.Astar, w1.eigstar)):
-            total = Matrix.zeros(2, 2)
-            recon = Matrix.zeros(2, 2)
-            for i, e in enumerate(data.idempotents):
-                for j, e2 in enumerate(data.idempotents):
-                    assert e * e2 == (e if i == j else Matrix.zeros(2, 2))
-                total = total + e
-                recon = recon + data.eigenvalues[i] * e
-            assert total == Matrix.identity(2)
-            assert recon == m
+        """The identities the Lagrange construction gives (build_eigendata)."""
+        shape = (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR))
+        cases = [forge.fixture(d) for d in (1, 2, 3)] + [
+            second_inversion(forge.fixture(3)),
+            forge.validate(shape, SHAPE_PARAMS),
+            forge.validate(*_leonard_candidate(8)),
+        ]
+        for sys in cases:
+            n = sys.dim
+            for m, data in ((sys.A, sys.eig), (sys.Astar, sys.eigstar)):
+                total = Matrix.zeros(n, n)
+                recon = Matrix.zeros(n, n)
+                for i, (t, e) in enumerate(zip(data.eigenvalues, data.idempotents)):
+                    for j, e2 in enumerate(data.idempotents):
+                        assert e * e2 == (e if i == j else Matrix.zeros(n, n))
+                    assert m * e == t * e
+                    assert Subspace.from_columns(n, e) == data.eigenspaces[i]
+                    total = total + e
+                    recon = recon + t * e
+                assert total == Matrix.identity(n)
+                assert recon == m
 
 
 class TestAxioms:
@@ -280,21 +290,10 @@ class TestOrderings:
             )
 
 
-def _leonard_candidate(d, c, q=2, a=3, b=5):
-    """The split-form Leonard pair whose phi_1 is c + (th*_1 - th*_0)(th_0 - th_d).
-
-    phi_i = c sum_{h<i} (th_h - th_{d-h}) / (th_0 - th_d)
-            + (th*_i - th*_0)(th_{i-1} - th_d),
-    the parameter-array line of the split form (Terwilliger, LAA 330, 2001).
-    """
-    p = params(d, q, a, b)
-    th, ts = qracah_eigenvalues(p)
-    phi = [
-        c * sum(th[h] - th[d - h] for h in range(i)) / (th[0] - th[d])
-        + (ts[i] - ts[0]) * (th[i - 1] - th[d])
-        for i in range(1, d + 1)
-    ]
-    return forge.build_split_form(forge.SplitFormSpec(p, phi)), p
+def _leonard_candidate(d):
+    """The split-form Leonard pair at forge.leonard_phi's default point."""
+    p = params(d)
+    return forge.build_split_form(forge.SplitFormSpec(p, forge.leonard_phi(p))), p
 
 
 def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
@@ -303,7 +302,7 @@ def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
     The word closure eliminated rows of n^2 entries; a reintroduced closure
     fails here without any timing.
     """
-    candidate, p = _leonard_candidate(10, F(1))
+    candidate, p = _leonard_candidate(10)
     n, widths = candidate[0].rows, []
     original = linalg.rref
 
