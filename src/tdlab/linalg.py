@@ -5,12 +5,15 @@ A matrix is stored as integer numerator rows over one common denominator,
 in a canonical form: the denominator is positive, it shares no factor with
 every numerator, and a zero matrix has denominator 1.  Equal matrices are
 therefore stored identically.  Products, sums and eliminations are integer
-arithmetic, and products and eliminations skip zero entries; entries are
-read back as reduced ``fractions.Fraction`` values.  Elimination is
-fraction-free Gauss-Jordan, each row kept primitive by its gcd, with one
-division by the pivots at the end.  Subspaces are canonicalized by
-reduced row echelon form so that equal subspaces have bit-identical
-representations.
+arithmetic, and they skip zero entries; entries are read back as reduced
+``fractions.Fraction`` values.  Each new matrix is normalized once (a gcd
+over its entries), so `combine` builds sum_k c_k M_k in one pass, and
+``+``, ``-``, unary ``-`` and `Matrix.scale` are each one `combine`.
+Elimination is fraction-free Gauss-Jordan, each row kept primitive by its
+gcd, with one division by the pivots at the end.  Subspaces are
+canonicalized by reduced row echelon form so that equal subspaces have
+bit-identical representations; `Subspace.holds` tests columns by one rank
+test, without canonicalizing their span.
 """
 
 from __future__ import annotations
@@ -150,26 +153,14 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%s)" % self.to_strings()
 
-    def _over(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, over the lcm of the two denominators."""
-        self._same_shape(other)
-        d = lcm(self._d, other._d)
-        a, b = d // self._d, sign * (d // other._d)
-        num = [
-            [a * x + b * y for x, y in zip(row, orow)]
-            for row, orow in zip(self._n, other._n)
-        ]
-        return Matrix._of(self.rows, self.cols, num, d)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._over(other, 1)
+        return combine((1, self), (1, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._over(other, -1)
+        return combine((1, self), (-1, other))
 
     def __neg__(self) -> "Matrix":
-        num = [[-x for x in row] for row in self._n]
-        return Matrix._of(self.rows, self.cols, num, self._d)
+        return combine((-1, self))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -180,9 +171,7 @@ class Matrix:
         return self.scale(scalar)
 
     def scale(self, scalar) -> "Matrix":
-        s = rat(scalar)
-        num = [[s.numerator * x for x in row] for row in self._n]
-        return Matrix._of(self.rows, self.cols, num, self._d * s.denominator)
+        return combine((scalar, self))
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -205,14 +194,14 @@ class Matrix:
             raise ValueError("power of non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = Matrix.identity(self.rows)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Matrix.identity(self.rows) if result is None else result
 
     @property
     def shape(self) -> tuple:
@@ -251,10 +240,6 @@ class Matrix:
             for row in self._n
         )
 
-    def _same_shape(self, other: "Matrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
     def _top_rows(self, k: int) -> "Matrix":
         """The first k rows."""
         return Matrix._of(k, self.cols, self._n[:k], self._d)
@@ -284,6 +269,31 @@ class Matrix:
     @classmethod
     def from_strings(cls, data: Sequence[Sequence[str]]) -> "Matrix":
         return cls(data)
+
+
+def combine(*terms) -> Matrix:
+    """sum_k c_k M_k for (c_k, M_k) pairs of one shape, in one pass over the
+    numerators over the lcm of the denominators; zero coefficients and zero
+    entries are skipped, and the result is normalized once."""
+    if not terms:
+        raise ValueError("combine needs at least one term")
+    rows, cols = shape = terms[0][1].shape
+    live = []
+    for c, m in terms:
+        if m.shape != shape:
+            raise ValueError(f"shape mismatch: {shape} vs {m.shape}")
+        c = c if isinstance(c, (int, Fraction)) else rat(c)
+        if c:
+            live.append((c.numerator, c.denominator * m._d, m._n))
+    d = lcm(*(den for _, den, _ in live))
+    acc = [[0] * cols for _ in range(rows)]
+    for p, den, num in live:
+        f = p * (d // den)
+        for arow, row in zip(acc, num):
+            for j, x in enumerate(row):
+                if x:
+                    arow[j] += f * x
+    return Matrix._of(rows, cols, acc, d)
 
 
 def rref(m: Matrix) -> tuple:
@@ -414,12 +424,18 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
+    def holds(self, columns: Matrix) -> bool:
+        """Every column of `columns` lies in self: one rank test of
+        [basis | columns], with no canonical form of their span."""
+        if columns.rows != self.ambient_dim:
+            raise ValueError("column length != ambient dimension")
+        if columns.cols == 0 or self.dim == 0:
+            return columns.is_zero()
+        return self.basis.hstack(columns).rank() == self.dim
+
     def contains(self, other: "Subspace") -> bool:
-        """One elimination: other lies in self iff adding it keeps the rank."""
         self._check_ambient(other)
-        if other.dim == 0 or self.dim == 0:
-            return other.dim == 0
-        return self.basis.hstack(other.basis).rank() == self.dim
+        return self.holds(other.basis)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -451,10 +467,13 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def sum_of(parts: Sequence[Subspace], ambient_dim: int) -> Subspace:
-    total = Subspace.zero(ambient_dim)
-    for p in parts:
-        total = subspace_sum(total, p)
-    return total
+    """The sum of the parts, by one elimination over all their bases."""
+    if any(p.ambient_dim != ambient_dim for p in parts):
+        raise ValueError("ambient dimension mismatch")
+    nonzero = [p for p in parts if p.dim]
+    if len(nonzero) <= 1:
+        return nonzero[0] if nonzero else Subspace.zero(ambient_dim)
+    return Subspace.from_columns(ambient_dim, Matrix.hstack(*(p.basis for p in nonzero)))
 
 
 def sum_is_direct(parts: Sequence[Subspace], ambient_dim: int) -> bool:
@@ -472,20 +491,6 @@ def is_direct_sum(parts: Sequence[Subspace], ambient_dim: int) -> bool:
     if sum(p.dim for p in parts) != ambient_dim:
         return False
     return sum_is_direct(parts, ambient_dim)
-
-
-def eval_factored_poly(a: Matrix, roots: Sequence) -> Matrix:
-    """Evaluate the monic factored polynomial prod_k (A - root_k I).
-
-    The empty product is the identity.
-    """
-    if not a.is_square():
-        raise ValueError("matrix must be square")
-    result = Matrix.identity(a.rows)
-    eye = Matrix.identity(a.rows)
-    for r in roots:
-        result = result * (a - rat(r) * eye)
-    return result
 
 
 def spin_dim(start: Matrix, generators: Sequence[Matrix]) -> int:

@@ -16,11 +16,10 @@ from functools import cached_property
 from .linalg import (
     Matrix,
     Subspace,
-    eval_factored_poly,
+    combine,
     is_direct_sum,
     subspace_intersect,
     subspace_sum,
-    sum_is_direct,
     sum_of,
 )
 from .report import CheckResult
@@ -31,24 +30,29 @@ class SplitStructureError(ValueError):
     """An internal-consistency failure while building the split apparatus."""
 
 
-def _prefix_sums(spaces, n):
+def _prefix_sums(spaces, n) -> tuple:
     out = []
     acc = Subspace.zero(n)
     for s in spaces:
         acc = subspace_sum(acc, s)
         out.append(acc)
-    return out
+    return tuple(out)
 
 
-def split_decomposition(sys: TDSystemInstance, flavor: str = "first") -> tuple:
-    """The first or second split decomposition of V, as d+1 subspaces."""
+def eigenspace_sums(sys: TDSystemInstance) -> tuple:
+    """E*_0 V + ... + E*_i V, E_0 V + ... + E_i V and E_i V + ... + E_d V."""
+    n, plain = sys.dim, sys.eig.eigenspaces
+    star = _prefix_sums(sys.eigstar.eigenspaces, n)
+    return star, _prefix_sums(plain, n), _prefix_sums(plain[::-1], n)[::-1]
+
+
+def split_decomposition(sys: TDSystemInstance, flavor: str = "first", sums=None) -> tuple:
+    """The first or second split decomposition of V, as d+1 subspaces, cut
+    from `sums` = `eigenspace_sums(sys)` (computed when not given)."""
     if flavor not in ("first", "second"):
         raise ValueError("flavor must be 'first' or 'second'")
     d, n = sys.d, sys.dim
-    star_prefix = _prefix_sums(sys.eigstar.eigenspaces, n)
-    plain_prefix = _prefix_sums(sys.eig.eigenspaces, n)
-    plain_suffix = list(reversed(_prefix_sums(list(reversed(sys.eig.eigenspaces)), n)))
-
+    star_prefix, plain_prefix, plain_suffix = sums or eigenspace_sums(sys)
     spaces = []
     for i in range(d + 1):
         other = plain_suffix[i] if flavor == "first" else plain_prefix[d - i]
@@ -87,18 +91,20 @@ def build_B(sys: TDSystemInstance, udd: tuple | None = None) -> Matrix:
     return projector_sum(udd, [q ** (d - 2 * i) for i in range(d + 1)], sys.dim)
 
 
-def compute_K_spaces(sys: TDSystemInstance) -> tuple:
-    """K_i for 0 <= i <= floor(d/2).
+def compute_K_spaces(sys: TDSystemInstance, sums=None) -> tuple:
+    """K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_{d-i} V), 0 <= i <= d/2.
 
-    Zero K_i are retained so indexing stays aligned with i.
+    The middle sums grow from the centre outwards; `sums` is as for
+    `split_decomposition`.  Zero K_i are retained so indexing stays
+    aligned with i.
     """
-    d, n = sys.d, sys.dim
-    star_prefix = _prefix_sums(sys.eigstar.eigenspaces, n)
-    spaces = []
-    for i in range(d // 2 + 1):
-        middle = sum_of(sys.eig.eigenspaces[i : d - i + 1], n)
+    d, n, plain = sys.d, sys.dim, sys.eig.eigenspaces
+    star_prefix = (sums or eigenspace_sums(sys))[0]
+    spaces, middle = [], Subspace.zero(n)
+    for i in range(d // 2, -1, -1):
+        middle = sum_of((middle, plain[i], plain[d - i]), n)
         spaces.append(subspace_intersect(star_prefix[i], middle))
-    return tuple(spaces)
+    return tuple(reversed(spaces))
 
 
 @dataclass(frozen=True)
@@ -134,32 +140,43 @@ class SplitApparatus:
     def Binv(self) -> Matrix:
         return self.Bop.inverse()
 
+    @cached_property
+    def prefix_sums(self) -> tuple:
+        """(U_0 + ... + U_i for 0 <= i <= d, the same for the U_i↓)."""
+        n = self.U[0].ambient_dim
+        return _prefix_sums(self.U, n), _prefix_sums(self.Udd, n)
+
+    @cached_property
+    def MK(self) -> tuple:
+        """MK_i, the span of all cells seeded by K_i, for each i."""
+        d, n = len(self.U) - 1, self.U[0].ambient_dim
+        return tuple(sum_of([self.cells[(i, j)].space for j in range(i, d - i + 1)], n)
+                     for i in range(len(self.Kspaces)))
+
     def cell(self, i: int, j: int) -> Cell:
         return self.cells[(i, j)]
 
     def mk_space(self, i: int) -> Subspace:
-        """MK_i: the span of all cells seeded by K_i."""
-        n = self.U[0].ambient_dim
-        d = len(self.U) - 1
-        return sum_of(
-            [self.cells[(i, j)].space for j in range(i, d - i + 1)], n
-        )
+        return self.MK[i]
 
 
 def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> dict:
     """Cells (i, j) -> image of K_i under the factored polynomial tau_ij(A).
 
+    The image at level j is (A - theta_{j-1} I) times the image at j - 1.
     Checks: per-j the cells sum directly to U_j; globally they decompose
     V; each cell has the dimension of its seed K_i.
     """
     d, n = sys.d, sys.dim
-    theta = sys.eig.eigenvalues
+    eye = Matrix.identity(n)
+    factors = [combine((1, sys.A), (-t, eye)) for t in sys.eig.eigenvalues[:d]]
     cells = {}
     for i, k in enumerate(kspaces):
+        image, space = k.basis, k
         for j in range(i, d - i + 1):
-            tau = eval_factored_poly(sys.A, theta[i:j])
-            image = tau * k.basis
-            space = Subspace.from_columns(n, image)
+            if j > i:
+                image = factors[j - 1] * image
+                space = Subspace.from_columns(n, image)
             if space.dim != k.dim:
                 raise SplitStructureError(
                     f"tau_{i}{j}(A) is not injective on K_{i}"
@@ -168,7 +185,7 @@ def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> di
 
     for j in range(d + 1):
         parts = [cells[(i, j)].space for i in range(min(j, d - j) + 1)]
-        if not sum_is_direct(parts, n) or sum_of(parts, n) != u[j]:
+        if sum(p.dim for p in parts) != u[j].dim or sum_of(parts, n) != u[j]:
             raise SplitStructureError(f"cells at level {j} do not decompose U_{j}")
     if not is_direct_sum([c.space for c in cells.values()], n):
         raise SplitStructureError("cells do not decompose V")
@@ -177,17 +194,11 @@ def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> di
 
 def build_apparatus(sys: TDSystemInstance) -> SplitApparatus:
     """Compute the full split apparatus for a validated instance."""
-    d, n = sys.d, sys.dim
-    u = split_decomposition(sys, "first")
-    udd = split_decomposition(sys, "second")
+    sums = eigenspace_sums(sys)
+    u = split_decomposition(sys, "first", sums)
+    udd = split_decomposition(sys, "second", sums)
 
-    for i in range(d + 1):
-        if sum_of(u[: i + 1], n) != sum_of(udd[: i + 1], n):
-            raise SplitStructureError(
-                f"prefix sums of the two split decompositions differ at {i}"
-            )
-
-    kspaces = compute_K_spaces(sys)
+    kspaces = compute_K_spaces(sys, sums)
     if kspaces[0] != sys.eigstar.eigenspaces[0] or kspaces[0] != u[0]:
         raise SplitStructureError("K_0 != E*_0 V = U_0")
     for i, k in enumerate(kspaces):
@@ -195,25 +206,29 @@ def build_apparatus(sys: TDSystemInstance) -> SplitApparatus:
             raise SplitStructureError(f"K_{i} != U_{i} ∩ U_{i}↓")
 
     cells = refined_decomposition(sys, u, kspaces)
-    kop = build_K(sys, u)
-    bop = build_B(sys, udd)
-    return SplitApparatus(u, udd, kspaces, cells, kop, bop)
+    apparatus = SplitApparatus(u, udd, kspaces, cells, build_K(sys, u), build_B(sys, udd))
+    for i, (s, t) in enumerate(zip(*apparatus.prefix_sums)):
+        if s != t:
+            raise SplitStructureError(
+                f"prefix sums of the two split decompositions differ at {i}"
+            )
+    return apparatus
 
 
 def verify_minpoly_on_MKi(
     sys: TDSystemInstance, apparatus: SplitApparatus, i: int
 ) -> CheckResult:
-    """tau_{i, d-i+1} annihilates MK_i while tau_{i, d-i} does not kill K_i."""
+    """tau_{i, d-i+1} annihilates MK_i (one factor at a time) while
+    tau_{i, d-i} does not kill K_i (the image of cell (i, d-i))."""
     theta = sys.eig.eigenvalues
     d = sys.d
-    k = apparatus.Kspaces[i]
-    if k.is_zero():
+    if apparatus.Kspaces[i].is_zero():
         raise ValueError(f"K_{i} is zero")
-    mk = apparatus.mk_space(i)
-    annihilator = eval_factored_poly(sys.A, theta[i : d - i + 1])
-    killed = annihilator * mk.basis
-    shorter = eval_factored_poly(sys.A, theta[i : d - i])
-    survives = not (shorter * k.basis).is_zero()
+    eye = Matrix.identity(sys.dim)
+    killed = apparatus.mk_space(i).basis
+    for t in theta[i : d - i + 1]:
+        killed = combine((1, sys.A), (-t, eye)) * killed
+    survives = not apparatus.cell(i, d - i).image.is_zero()
     ok = killed.is_zero() and survives
     return CheckResult(
         f"lem.minpoly.MK{i}",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .linalg import Matrix, Rational, Subspace, rat, spin_dim
+from .linalg import Matrix, Rational, Subspace, combine, rat, spin_dim
 from .report import CheckResult, VerificationReport
 
 
@@ -140,7 +140,7 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
         raise ValueError("eigenvalues must be mutually distinct")
     n = m.rows
     eye = Matrix.identity(n)
-    factors = [m - t * eye for t in evs]
+    factors = [combine((1, m), (-t, eye)) for t in evs]
 
     spaces = []
     for t, f in zip(evs, factors):
@@ -182,12 +182,18 @@ class TDSystemInstance:
 
 
 def _tridiagonal_ok(op: Matrix, idempotents: Sequence[Matrix]) -> tuple:
-    """Check E_j op E_i = 0 for |i - j| > 1; returns (ok, witness pair)."""
+    """Check E_j op E_i = 0 for |i - j| > 1; returns (ok, witness pair).
+
+    For idempotents that annihilate each other, E_j (sum_{|k-i|>1} E_k) op E_i
+    = E_j op E_i, so one sum and one product per i decide every j; the
+    witness j is looked for only when i fails.
+    """
     for i, ei in enumerate(idempotents):
-        op_ei = op * ei
-        for j, ej in enumerate(idempotents):
-            if abs(i - j) > 1 and not (ej * op_ei).is_zero():
-                return False, (i, j)
+        far = [(1, e) for j, e in enumerate(idempotents) if abs(i - j) > 1]
+        if far and not (combine(*far) * (op_ei := op * ei)).is_zero():
+            j = next(j for j, ej in enumerate(idempotents)
+                     if abs(i - j) > 1 and not (ej * op_ei).is_zero())
+            return False, (i, j)
     return True, None
 
 

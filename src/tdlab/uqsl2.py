@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, eval_factored_poly, is_direct_sum
+from .linalg import Matrix, Subspace, combine, is_direct_sum
 from .report import VerificationReport
 from .split import SplitApparatus
 from .tdsystem import TDSystemInstance
@@ -47,10 +47,8 @@ class UqAction:
 
 def casimir_of(action: UqAction) -> Matrix:
     q = action.q
-    return (
-        ((q - 1 / q) ** 2) * (action.e * action.f)
-        + (1 / q) * action.k
-        + q * action.kinv
+    return combine(
+        ((q - 1 / q) ** 2, action.e * action.f), (1 / q, action.k), (q, action.kinv)
     )
 
 
@@ -58,28 +56,30 @@ def verify_uq_relations(action: UqAction) -> VerificationReport:
     """Exact check of the defining relations plus their cubic consequences."""
     rep = VerificationReport()
     e, f, k, kinv, q = action.e, action.f, action.k, action.kinv, action.q
-    n = action.dim
-    eye = Matrix.identity(n)
+    eye = Matrix.identity(action.dim)
     qi = 1 / q
-    rep.check("uq.kkinv", "k k^-1 = k^-1 k = I", (k * kinv - eye) + (kinv * k - eye))
-    rep.check("uq.kek", "k e k^-1 = q^2 e", k * e * kinv - (q * q) * e)
-    rep.check("uq.kfk", "k f k^-1 = q^-2 f", k * f * kinv - (qi * qi) * f)
+    ef, fe = e * f, f * e
+    rep.check("uq.kkinv", "k k^-1 = k^-1 k = I",
+              combine((1, k * kinv), (1, kinv * k), (-2, eye)))
+    rep.check("uq.kek", "k e k^-1 = q^2 e", combine((1, k * e * kinv), (-q * q, e)))
+    rep.check("uq.kfk", "k f k^-1 = q^-2 f", combine((1, k * f * kinv), (-qi * qi, f)))
+    c = 1 / (q - qi)
     rep.check(
         "uq.ef",
         "ef - fe = (k - k^-1) / (q - q^-1)",
-        e * f - f * e - (1 / (q - qi)) * (k - kinv),
+        combine((1, ef), (-1, fe), (-c, k), (c, kinv)),
     )
     lam = casimir_of(action)
     w = q * q + qi * qi
     rep.check(
         "uq.f2e",
         "f^2 e - (q^2 + q^-2) fef + ef^2 = -Lambda f",
-        f * f * e - w * (f * e * f) + e * f * f + lam * f,
+        combine((1, f * fe), (-w, fe * f), (1, ef * f), (1, lam * f)),
     )
     rep.check(
         "uq.e2f",
         "e^2 f - (q^2 + q^-2) efe + fe^2 = -Lambda e",
-        e * e * f - w * (e * f * e) + f * e * e + lam * e,
+        combine((1, e * ef), (-w, ef * e), (1, fe * e), (1, lam * e)),
     )
     return rep
 
@@ -94,7 +94,12 @@ class IrreducibleModel:
 
 
 def build_L_model(n: int, epsilon: int, q: Fraction) -> IrreducibleModel:
-    """Explicit matrices for L(n, eps) in the basis v_0 .. v_n."""
+    """Explicit matrices for L(n, eps) in the basis v_0 .. v_n.
+
+    The closed form satisfies the defining relations, with Casimir scalar
+    eps (q^(n+1) + q^(-n-1)), for every n, eps and q that pass the guards;
+    tests keep both as an oracle.
+    """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     for i in range(1, n + 1):
@@ -108,15 +113,9 @@ def build_L_model(n: int, epsilon: int, q: Fraction) -> IrreducibleModel:
     for i in range(n):
         f_rows[i + 1][i] = q_int(i + 1, q)
     e, f = Matrix(e_rows), Matrix(f_rows)
-    k = Matrix.diagonal([epsilon * q ** (n - 2 * i) for i in range(dim)])
-    action = UqAction(e, f, k, k.inverse(), q)
-    rep = verify_uq_relations(action)
-    if not rep.all_passed:
-        raise ModuleError("reference model violates the defining relations")
-    expected = epsilon * (q ** (n + 1) + q ** (-n - 1))
-    if casimir_of(action) != expected * Matrix.identity(dim):
-        raise ModuleError("reference model has the wrong Casimir scalar")
-    return IrreducibleModel(n, epsilon, action)
+    weights = [epsilon * q ** (n - 2 * i) for i in range(dim)]
+    k, kinv = Matrix.diagonal(weights), Matrix.diagonal([1 / x for x in weights])
+    return IrreducibleModel(n, epsilon, UqAction(e, f, k, kinv, q))
 
 
 def weight_decomposition(action: UqAction, weights) -> tuple:
@@ -178,10 +177,11 @@ def decompose_into_components(
     For each seed vector v in K_i, the basis v_j = gamma_j^-1 tau(A) v
     (gamma_j = (q - q^-1)^j [j]_q!) must carry e, f and k exactly as the
     model L(d-2i, 1) does; the components MK_i must direct-sum to V.
+    tau(A) v is the column of v in the image of cell (i, i + j).
     """
     d, n, q = sys.d, sys.dim, sys.params.q
-    theta = sys.eig.eigenvalues
     weights = [q ** (d - 2 * i) for i in range(d + 1)]
+    gammas = [((q - 1 / q) ** j) * q_factorial(j, q) for j in range(d + 1)]
     weight_spaces, highest = weight_decomposition(action, weights)
 
     components = []
@@ -192,13 +192,10 @@ def decompose_into_components(
         model = build_L_model(label, 1, q).action
         seed_bases = []
         for col in range(kspace.dim):
-            v = kspace.basis.col(col)
-            vs = []
-            for j in range(label + 1):
-                gamma = ((q - 1 / q) ** j) * q_factorial(j, q)
-                tau = eval_factored_poly(sys.A, theta[i : i + j])
-                vs.append(tuple(x / gamma for x in tau.apply(v)))
-            basis = Matrix.from_columns(vs)
+            basis = Matrix.from_columns(
+                tuple(x / gammas[j] for x in apparatus.cell(i, i + j).image.col(col))
+                for j in range(label + 1)
+            )
             for name in ("e", "f", "k"):
                 if getattr(action, name) * basis != basis * getattr(model, name):
                     raise ModuleError(f"{name} does not act as in L({label},1)")

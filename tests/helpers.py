@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from tdlab.linalg import Matrix, Subspace
+from tdlab.linalg import Matrix, Subspace, rat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,3 +24,14 @@ def span(n, *vectors) -> Subspace:
 def whole(n) -> Subspace:
     """All of Q^n."""
     return Subspace.from_columns(n, Matrix.identity(n))
+
+
+def eval_factored_poly(a: Matrix, roots) -> Matrix:
+    """The monic factored polynomial prod_k (A - root_k I); the empty product is I."""
+    if not a.is_square():
+        raise ValueError("matrix must be square")
+    eye = Matrix.identity(a.rows)
+    result = eye
+    for r in roots:
+        result = result * (a - rat(r) * eye)
+    return result

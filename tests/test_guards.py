@@ -1,0 +1,62 @@
+"""Guards on the exact library chain that the golden tests do not cover.
+
+The chain apparatus -> operators -> full suite -> decomposition is kept
+within a budget of matrix constructions (each one pays a normalization),
+and a report with failing checks is pinned byte for byte, so that the
+residual witnesses, not only passing verdicts, stay identical.
+"""
+
+import hashlib
+from dataclasses import replace
+from fractions import Fraction
+
+from tdlab import forge
+from tdlab.linalg import Matrix
+from tdlab.psi import build_operator_set
+from tdlab.split import build_apparatus
+from tdlab.suite import full_suite
+from tdlab.tdsystem import QRacahParams
+from tdlab.uqsl2 import decompose_into_components, first_structure
+
+F = Fraction
+
+# Matrices built through Matrix._of by the chain on the d = 4 Leonard pair
+# below: 1907 when each sum and scaling built its own temporary, about 900
+# with fused linear combinations and one subspace lattice per apparatus.
+MATRIX_BUDGET = 1200
+
+# full_suite on fixture(2) with K doubled in the apparatus and the operators
+# of the true apparatus: (checks, failing checks, bytes, sha256 of the JSON).
+FAILING_SUITE = (84, 33, 10876, "90fa6b10b3b339e736383d487edaa466ab3183838ae884750366a0a9575921d5")
+
+
+def test_library_chain_stays_within_matrix_budget(monkeypatch):
+    p = QRacahParams(4, F(2), F(3), F(5))
+    system = forge.validate(forge.build_split_form(forge.SplitFormSpec(p, forge.leonard_phi(p))), p)
+    built = []
+    original = Matrix._of.__func__
+
+    def counted(cls, *args):
+        built.append(1)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Matrix, "_of", classmethod(counted))
+    app = build_apparatus(system)
+    ops = build_operator_set(system, app)
+    report = full_suite(system, app, ops)
+    decompose_into_components(first_structure(system, app, ops.R, ops.psi), system, app)
+    monkeypatch.undo()
+    assert report.all_passed
+    assert 0 < len(built) <= MATRIX_BUDGET, len(built)
+
+
+def test_failing_report_bytes():
+    system = forge.fixture(2)
+    app = build_apparatus(system)
+    ops = build_operator_set(system, app)
+    report = full_suite(system, replace(app, Kop=2 * app.Kop), ops)
+    text = report.to_json_lines().encode()
+    assert all(e.residual is not None for e in report.failures)
+    assert (len(report), len(report.failures), len(text), hashlib.sha256(text).hexdigest()) == (
+        FAILING_SUITE
+    )

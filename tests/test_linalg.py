@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import span, whole
+from helpers import eval_factored_poly, span, whole
 from tdlab.linalg import (
     AffineSolutions,
     Matrix,
     Subspace,
-    eval_factored_poly,
+    combine,
     is_direct_sum,
     rat,
     rref,
@@ -469,3 +469,88 @@ def test_hilbert_inverse_closed_form():
     assert solve_linear(h, Matrix.column([1] + [0] * (n - 1)))[0] == Matrix.column(
         expected.col(0)
     )
+
+
+# -- fused linear combinations and the one-rank containment test --------------
+
+coefficients = st.one_of(st.just(Fraction(0)), nonzero_fractions)
+
+
+@given(
+    shapes.flatmap(
+        lambda s: st.lists(st.tuples(coefficients, sparse_matrices(*s)), min_size=1, max_size=4)
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_combine_matches_chained_operators(terms):
+    chained = terms[0][1].scale(terms[0][0])
+    for c, m in terms[1:]:
+        chained = chained + m.scale(c) if c >= 0 else chained - (-c) * m
+    fused = combine(*terms)
+    assert (fused._n, fused._d, hash(fused)) == (chained._n, chained._d, hash(chained))
+    rows, cols = fused.shape
+    assert fused == Matrix(
+        [[sum((c * m[i, j] for c, m in terms), Fraction(0)) for j in range(cols)]
+         for i in range(rows)]
+    )
+
+
+class TestCombine:
+    def test_zero_coefficients(self):
+        a = M([[1, "1/2"], [0, 3]])
+        zero = combine((0, a), (Fraction(0), -a))
+        assert zero == Matrix.zeros(2, 2) and zero._d == 1
+        assert combine((0, a), (Fraction(2, 3), a), (0, a)) == M([["2/3", "1/3"], [0, 2]])
+
+    def test_cancellation_is_normalized(self):
+        a = M([["1/6", "1/3"], [0, "5/6"]])
+        assert combine((1, a), (-1, a)) == Matrix.zeros(2, 2)
+        assert combine((2, a), (-1, a)) == a and hash(combine((2, a), (-1, a))) == hash(a)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        z = Matrix.zeros(*shape)
+        assert combine((2, z), (Fraction(-1, 3), z)) == z
+        assert (z + z).shape == (-z).shape == z.scale(5).shape == shape
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine((1, Matrix.zeros(2, 3)), (1, Matrix.zeros(3, 2)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix.zeros(0, 2) + Matrix.zeros(0, 3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine((0, Matrix.zeros(2, 2)), (0, Matrix.zeros(2, 1)))
+
+
+def matrices_of_shape(rows, cols):
+    """Sparse rows x cols matrices, including those with no rows."""
+    return sparse_matrices(rows, cols) if rows else st.just(Matrix.zeros(0, cols))
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda s: st.tuples(
+            matrices_of_shape(s[0], s[1]),
+            matrices_of_shape(s[1], s[2]),
+            matrices_of_shape(s[0], s[2]),
+            st.booleans(),
+        )
+    )
+)
+@example((Matrix.zeros(3, 0), Matrix.zeros(0, 2), Matrix.zeros(3, 2), False))
+@example((Matrix.zeros(3, 2), Matrix.zeros(2, 2), M([[0, 1], [0, 0], [0, 0]]), False))
+@example((M([[1], [0], [0]]), M([[0, 2]]), M([[0, 0], [0, 0], [0, 0]]), False))
+@settings(max_examples=80, deadline=None)
+def test_holds_matches_contains(case):
+    # `inside` draws the columns from the span of the generators.
+    generators, mix, other, inside = case
+    n = generators.rows
+    s = Subspace.from_columns(n, generators)
+    columns = generators * mix if inside else other
+    assert s.holds(columns) == s.contains(Subspace.from_columns(n, columns))
+    assert s.holds(columns) or not inside
+
+
+def test_holds_checks_the_ambient_dimension():
+    with pytest.raises(ValueError):
+        span(3, (1, 0, 0)).holds(Matrix.zeros(2, 1))

@@ -3,11 +3,11 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from helpers import span
+from helpers import eval_factored_poly, span
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
 from tdlab import forge, linalg, tdsystem
-from tdlab.linalg import Matrix, Subspace, eval_factored_poly
+from tdlab.linalg import Matrix, Subspace
 from tdlab.tdsystem import (
     EigenData,
     NotDiagonalizableError,

@@ -12,6 +12,7 @@ from tdlab.uqsl2 import (
     ModuleError,
     UqAction,
     build_L_model,
+    casimir_of,
     decompose_into_components,
     first_structure,
     q_int,
@@ -101,6 +102,18 @@ class TestLModels:
             + q * model.action.kinv
         )
         assert lam == expected * Matrix.identity(n + 1)
+
+    @pytest.mark.parametrize("q", [F(2), F(3), F(1, 2), F(-2)], ids=str)
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n", range(7))
+    def test_closed_form_is_a_module(self, n, eps, q):
+        # The oracle for build_L_model, which does not check its own output:
+        # the defining relations and the Casimir scalar eps (q^(n+1) + q^(-n-1)).
+        action = build_L_model(n, eps, q).action
+        report = verify_uq_relations(action)
+        assert report.all_passed, [e.check_id for e in report.failures]
+        expected = eps * (q ** (n + 1) + q ** (-n - 1))
+        assert casimir_of(action) == expected * Matrix.identity(n + 1)
 
     def test_root_of_unity_guard(self):
         with pytest.raises(ValueError):
