@@ -5,6 +5,10 @@ deterministic; reports are line-oriented JSON, one record per check.
 
 Exit codes: 0 all-pass, 1 check failure, 2 invalid input or parameters,
 3 I/O error.
+
+A command imports the layers past validation (split, psi, suite, uqsl2)
+only after its instance is validated, so that a refused input costs the
+start-up of the validation layer alone.
 """
 
 from __future__ import annotations
@@ -12,20 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from pathlib import Path
 
 from . import forge
 from .linalg import rat, rat_str
-from .psi import OperatorError, build_operator_set
-from .split import SplitStructureError, build_apparatus
-from .suite import full_suite
+from .report import ConsistencyError
 from .tdsystem import (
     NotDiagonalizableError,
     NotTDSystemError,
     ParameterError,
     QRacahParams,
 )
-from .uqsl2 import ModuleError, decompose_into_components, first_structure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -42,11 +42,7 @@ FAILURES = (
         "invalid instance",
         EXIT_INVALID,
     ),
-    (
-        (SplitStructureError, OperatorError, ModuleError),
-        "internal consistency failure",
-        EXIT_INVALID,
-    ),
+    ((ConsistencyError,), "internal consistency failure", EXIT_INVALID),
     ((OSError,), "cannot write output", EXIT_IO),
 )
 _FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)
@@ -58,10 +54,15 @@ def _write(text: str, out_path: str | None) -> None:
         if text and not text.endswith("\n"):
             _sys.stdout.write("\n")
     else:
-        Path(out_path).write_text(text if text.endswith("\n") or not text else text + "\n")
+        with open(out_path, "w") as fh:
+            fh.write(text if text.endswith("\n") or not text else text + "\n")
 
 
 def cmd_generate(args) -> int:
+    if args.d > forge.MAX_DIAMETER:
+        print(f"invalid parameters: diameter {args.d} exceeds the limit "
+              f"{forge.MAX_DIAMETER}", file=_sys.stderr)
+        return EXIT_INVALID
     try:
         params = QRacahParams(args.d, rat(args.q), rat(args.a), rat(args.b))
     except (ParameterError, ValueError) as exc:
@@ -89,7 +90,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = full_suite(forge.ingest(args.instance))
+    instance = forge.ingest(args.instance)
+    from .suite import full_suite
+
+    report = full_suite(instance)
     if args.suite != "all":
         names = [s for s in args.suite.split(",") if s]
         report = report.subset(names)
@@ -99,6 +103,10 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     instance = forge.ingest(args.instance)
+    from .psi import build_operator_set
+    from .split import build_apparatus
+    from .uqsl2 import decompose_into_components, first_structure
+
     apparatus = build_apparatus(instance)
     ops = build_operator_set(instance, apparatus)
     action = first_structure(instance, apparatus, ops.R, ops.psi)
@@ -135,6 +143,9 @@ def _apparatus_payload(instance, apparatus) -> dict:
 
 def cmd_export(args) -> int:
     instance = forge.ingest(args.instance)
+    from .psi import build_operator_set
+    from .split import build_apparatus
+
     apparatus = build_apparatus(instance)
     payload: dict
     if args.what == "operators":

@@ -12,11 +12,10 @@ candidate, on the line or not, is accepted only by the axiom verifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .linalg import Matrix, rat, rat_str
+from .record import Record, setfield
 from .tdsystem import (
     QRacahParams,
     TDSystemInstance,
@@ -25,22 +24,27 @@ from .tdsystem import (
 )
 
 
+# The largest diameter the command line accepts: generate plus verify of
+# a Leonard pair takes about 15 s at d = 32, and twice that for each 4
+# added to d (timings in the README).  The library takes any d.
+MAX_DIAMETER = 32
+
+
 class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SplitFormSpec:
-    params: QRacahParams
-    phi: tuple
+class SplitFormSpec(Record):
+    __slots__ = _fields = ("params", "phi")
 
-    def __post_init__(self):
-        phi = tuple(rat(x) for x in self.phi)
-        if len(phi) != self.params.d:
-            raise ValueError(f"expected {self.params.d} superdiagonal entries")
+    def __init__(self, params: QRacahParams, phi: tuple):
+        phi = tuple(rat(x) for x in phi)
+        setfield(self, "params", params)
+        setfield(self, "phi", phi)
+        if len(phi) != params.d:
+            raise ValueError(f"expected {params.d} superdiagonal entries")
         if any(x == 0 for x in phi):
             raise ValueError("superdiagonal entries must be nonzero")
-        object.__setattr__(self, "phi", phi)
 
 
 def build_split_form(spec: SplitFormSpec) -> tuple:
@@ -105,12 +109,13 @@ def format_instance(sys: TDSystemInstance) -> str:
 
 
 def export_instance(sys: TDSystemInstance, path) -> None:
-    Path(path).write_text(format_instance(sys))
+    with open(path, "w") as fh:
+        fh.write(format_instance(sys))
 
 
 def parse_instance_dict(data: dict) -> TDSystemInstance:
-    # The shapes are checked against d before QRacahParams, which takes
-    # O(d) large powers: a small file with a huge d is refused at once.
+    # The shapes and MAX_DIAMETER are checked before QRacahParams, which
+    # takes O(d) large powers: a file with a huge d is refused at once.
     try:
         d = data["d"]
         n = d + 1
@@ -120,6 +125,8 @@ def parse_instance_dict(data: dict) -> TDSystemInstance:
         raise IngestError(f"malformed instance file: {exc}") from exc
     if a.shape != (n, n) or astar.shape != (n, n):
         raise IngestError(f"matrix shape {a.shape} does not match diameter {d}")
+    if d > MAX_DIAMETER:
+        raise IngestError(f"diameter {d} exceeds the limit {MAX_DIAMETER}")
     try:
         params = QRacahParams(d, rat(data["q"]), rat(data["a"]), rat(data["b"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -130,8 +137,9 @@ def parse_instance_dict(data: dict) -> TDSystemInstance:
 def ingest(path) -> TDSystemInstance:
     """Parse and validate an instance file; round-trips bit-exactly."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or JSON
         raise IngestError(f"cannot read instance file: {exc}") from exc
     if not isinstance(data, dict):
         raise IngestError("instance file must hold a JSON object")

@@ -18,10 +18,10 @@ test, without canonicalizing their span.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 Rational = Fraction
 

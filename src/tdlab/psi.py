@@ -14,7 +14,6 @@ and psi, is a check of `run_identity_suite` that carries its residual
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
@@ -23,21 +22,24 @@ from .linalg import (
     combine,
     solve_commutant_constraint,
 )
-from .report import VerificationReport
+from .record import Record, setfield
+from .report import ConsistencyError, VerificationReport
 from .split import SplitApparatus
 from .tdsystem import TDSystemInstance
 
 
-class OperatorError(ValueError):
+class OperatorError(ConsistencyError):
     """An operator cannot be built, or its two constructions disagree."""
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    R: Matrix
-    Rdd: Matrix
-    psi: Matrix
-    Lambda: Matrix
+class OperatorSet(Record):
+    __slots__ = _fields = ("R", "Rdd", "psi", "Lambda")
+
+    def __init__(self, R: Matrix, Rdd: Matrix, psi: Matrix, Lambda: Matrix):
+        setfield(self, "R", R)
+        setfield(self, "Rdd", Rdd)
+        setfield(self, "psi", psi)
+        setfield(self, "Lambda", Lambda)
 
 
 def build_R(sys: TDSystemInstance, apparatus: SplitApparatus) -> Matrix:

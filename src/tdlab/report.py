@@ -3,25 +3,33 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .linalg import Matrix
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class ConsistencyError(ValueError):
+    """An operator of a validated instance cannot be built consistently:
+    the split apparatus, psi or a module structure."""
+
+
+class CheckResult(Record):
     """One named exact check.
 
     The witness `residual` (left side minus right side, or an offending
     matrix) and `note`, where the check failed, are kept only on failure.
     """
 
-    check_id: str
-    anchor: str
-    passed: bool
-    residual: Matrix | None = None
-    note: str = ""
+    __slots__ = _fields = ("check_id", "anchor", "passed", "residual", "note")
+
+    def __init__(self, check_id: str, anchor: str, passed: bool,
+                 residual: Matrix | None = None, note: str = ""):
+        setfield(self, "check_id", check_id)
+        setfield(self, "anchor", anchor)
+        setfield(self, "passed", passed)
+        setfield(self, "residual", residual)
+        setfield(self, "note", note)
 
     def to_record(self) -> dict:
         record = {

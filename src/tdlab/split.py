@@ -10,7 +10,6 @@ under the monic factored polynomial with roots theta_i .. theta_{j-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import (
@@ -22,11 +21,12 @@ from .linalg import (
     subspace_sum,
     sum_of,
 )
-from .report import CheckResult
+from .record import Record, setfield
+from .report import CheckResult, ConsistencyError
 from .tdsystem import TDSystemInstance
 
 
-class SplitStructureError(ValueError):
+class SplitStructureError(ConsistencyError):
     """An internal-consistency failure while building the split apparatus."""
 
 
@@ -107,31 +107,37 @@ def compute_K_spaces(sys: TDSystemInstance, sums=None) -> tuple:
     return tuple(reversed(spaces))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One refined-decomposition summand: the image of K_i at level j.
 
     `image` carries the chosen K_i basis pushed forward column by column,
     so downstream vector-level constructions can reuse the correspondence.
     """
 
-    i: int
-    j: int
-    image: Matrix
-    space: Subspace
+    __slots__ = _fields = ("i", "j", "image", "space")
+
+    def __init__(self, i: int, j: int, image: Matrix, space: Subspace):
+        setfield(self, "i", i)
+        setfield(self, "j", j)
+        setfield(self, "image", image)
+        setfield(self, "space", space)
 
 
-@dataclass(frozen=True)
-class SplitApparatus:
-    U: tuple
-    Udd: tuple
-    Kspaces: tuple
-    cells: dict
-    Kop: Matrix
-    Bop: Matrix
+class SplitApparatus(Record):
+    # No __slots__: the cached properties below live in the instance __dict__.
+    _fields = ("U", "Udd", "Kspaces", "cells", "Kop", "Bop")
 
-    # Cached on first use, not stored as fields, so that
-    # dataclasses.replace(apparatus, Kop=X) yields X^-1.
+    def __init__(self, U: tuple, Udd: tuple, Kspaces: tuple, cells: dict,
+                 Kop: Matrix, Bop: Matrix):
+        setfield(self, "U", U)
+        setfield(self, "Udd", Udd)
+        setfield(self, "Kspaces", Kspaces)
+        setfield(self, "cells", cells)
+        setfield(self, "Kop", Kop)
+        setfield(self, "Bop", Bop)
+
+    # Cached on first use, not stored as fields, so that an apparatus built
+    # from this one's fields with another Kop = X has Kinv = X^-1.
     @cached_property
     def Kinv(self) -> Matrix:
         return self.Kop.inverse()

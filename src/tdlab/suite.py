@@ -3,10 +3,8 @@ relations of both module structures, under one report."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .psi import OperatorSet, build_operator_set, run_identity_suite
-from .report import VerificationReport
+from .report import CheckResult, VerificationReport
 from .split import SplitApparatus, build_apparatus, verify_minpoly_on_MKi
 from .tdsystem import TDSystemInstance
 from .uqsl2 import first_structure, second_structure, verify_uq_relations
@@ -26,11 +24,9 @@ def full_suite(
         ("uq.first", first_structure(sys, apparatus, ops.R, ops.psi)),
         ("uq.second", second_structure(sys, apparatus, ops.Rdd, ops.psi)),
     ):
-        sub = verify_uq_relations(action)
-        for entry in sub:
-            report.add(
-                replace(entry, check_id=entry.check_id.replace("uq.", prefix + ".", 1))
-            )
+        for e in verify_uq_relations(action):
+            check_id = e.check_id.replace("uq.", prefix + ".", 1)
+            report.add(CheckResult(check_id, e.anchor, e.passed, e.residual, e.note))
 
     for i, kspace in enumerate(apparatus.Kspaces):
         if not kspace.is_zero():

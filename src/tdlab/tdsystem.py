@@ -31,12 +31,12 @@ Algebra Appl. 2008); so its word closure is below n^2 as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
 
 from .linalg import Matrix, Rational, Subspace, combine, rat, spin_dim
-from .report import CheckResult, VerificationReport
+from .record import Record, setfield
+from .report import VerificationReport
 
 
 class ParameterError(ValueError):
@@ -51,25 +51,24 @@ class NotTDSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QRacahParams:
-    d: int
-    q: Rational
-    a: Rational
-    b: Rational
+class QRacahParams(Record):
+    __slots__ = _fields = ("d", "q", "a", "b")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, q: Rational, a: Rational, b: Rational):
+        setfield(self, "d", d)
+        setfield(self, "q", q)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        if d < 1:
             raise ParameterError("diameter d must be a positive integer")
-        q, a, b = self.q, self.a, self.b
         if q == 0 or a == 0 or b == 0:
             raise ParameterError("q, a, b must be nonzero")
         if q**4 == 1:
             raise ParameterError("q^4 = 1 is degenerate")
-        for i in range(1, self.d + 1):
+        for i in range(1, d + 1):
             if q ** (2 * i) == 1:
-                raise ParameterError(f"q^{2 * i} = 1 is degenerate for d = {self.d}")
-        forbidden = {q ** (2 * self.d - 2 - 2 * k) for k in range(2 * self.d - 1)}
+                raise ParameterError(f"q^{2 * i} = 1 is degenerate for d = {d}")
+        forbidden = {q ** (2 * d - 2 - 2 * k) for k in range(2 * d - 1)}
         if a * a in forbidden:
             raise ParameterError(
                 "a^2 lies in {q^(2d-2), q^(2d-4), ..., q^(2-2d)}: "
@@ -102,11 +101,13 @@ def qracah_eigenvalues(params: QRacahParams) -> tuple:
     return theta, theta_star
 
 
-@dataclass(frozen=True)
-class EigenData:
-    eigenvalues: tuple
-    eigenspaces: tuple
-    idempotents: tuple
+class EigenData(Record):
+    __slots__ = _fields = ("eigenvalues", "eigenspaces", "idempotents")
+
+    def __init__(self, eigenvalues: tuple, eigenspaces: tuple, idempotents: tuple):
+        setfield(self, "eigenvalues", eigenvalues)
+        setfield(self, "eigenspaces", eigenspaces)
+        setfield(self, "idempotents", idempotents)
 
     def reversed(self) -> "EigenData":
         return EigenData(
@@ -164,13 +165,16 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
     return EigenData(evs, tuple(spaces), tuple(idempotents))
 
 
-@dataclass(frozen=True)
-class TDSystemInstance:
-    params: QRacahParams
-    A: Matrix
-    Astar: Matrix
-    eig: EigenData
-    eigstar: EigenData
+class TDSystemInstance(Record):
+    __slots__ = _fields = ("params", "A", "Astar", "eig", "eigstar")
+
+    def __init__(self, params: QRacahParams, A: Matrix, Astar: Matrix,
+                 eig: EigenData, eigstar: EigenData):
+        setfield(self, "params", params)
+        setfield(self, "A", A)
+        setfield(self, "Astar", Astar)
+        setfield(self, "eig", eig)
+        setfield(self, "eigstar", eigstar)
 
     @property
     def dim(self) -> int:

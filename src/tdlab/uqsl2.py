@@ -5,16 +5,16 @@ structures carried by a validated instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, Subspace, combine, is_direct_sum
-from .report import VerificationReport
+from .record import Record, setfield
+from .report import ConsistencyError, VerificationReport
 from .split import SplitApparatus
 from .tdsystem import TDSystemInstance
 
 
-class ModuleError(ValueError):
+class ModuleError(ConsistencyError):
     pass
 
 
@@ -30,15 +30,17 @@ def q_factorial(n: int, q: Fraction) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class UqAction:
+class UqAction(Record):
     """Matrices for the Chevalley generators e, f, k, k^-1."""
 
-    e: Matrix
-    f: Matrix
-    k: Matrix
-    kinv: Matrix
-    q: Fraction
+    __slots__ = _fields = ("e", "f", "k", "kinv", "q")
+
+    def __init__(self, e: Matrix, f: Matrix, k: Matrix, kinv: Matrix, q: Fraction):
+        setfield(self, "e", e)
+        setfield(self, "f", f)
+        setfield(self, "k", k)
+        setfield(self, "kinv", kinv)
+        setfield(self, "q", q)
 
     @property
     def dim(self) -> int:
@@ -84,13 +86,15 @@ def verify_uq_relations(action: UqAction) -> VerificationReport:
     return rep
 
 
-@dataclass(frozen=True)
-class IrreducibleModel:
+class IrreducibleModel(Record):
     """The (n+1)-dimensional irreducible module L(n, eps) in its v-basis."""
 
-    n: int
-    epsilon: int
-    action: UqAction
+    __slots__ = _fields = ("n", "epsilon", "action")
+
+    def __init__(self, n: int, epsilon: int, action: UqAction):
+        setfield(self, "n", n)
+        setfield(self, "epsilon", epsilon)
+        setfield(self, "action", action)
 
 
 def build_L_model(n: int, epsilon: int, q: Fraction) -> IrreducibleModel:
@@ -150,23 +154,33 @@ def weight_decomposition(action: UqAction, weights) -> tuple:
     return weight_spaces, highest
 
 
-@dataclass(frozen=True)
-class Component:
-    """One homogeneous component MK_i with explicit per-seed bases."""
+class Component(Record):
+    """One homogeneous component MK_i with explicit per-seed bases.
 
-    i: int
-    label: int  # the n of L(n, 1)
-    multiplicity: int
-    space: Subspace
-    bases: tuple  # one Matrix of basis columns v_0 .. v_n per seed vector
-    casimir_scalar: Fraction
+    `label` is the n of L(n, 1); `bases` holds one Matrix of basis columns
+    v_0 .. v_n per seed vector.
+    """
+
+    __slots__ = _fields = ("i", "label", "multiplicity", "space", "bases",
+                           "casimir_scalar")
+
+    def __init__(self, i: int, label: int, multiplicity: int, space: Subspace,
+                 bases: tuple, casimir_scalar: Fraction):
+        setfield(self, "i", i)
+        setfield(self, "label", label)
+        setfield(self, "multiplicity", multiplicity)
+        setfield(self, "space", space)
+        setfield(self, "bases", bases)
+        setfield(self, "casimir_scalar", casimir_scalar)
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
-    weights: dict
-    highest_weight_spaces: dict
-    components: tuple
+class ModuleDecomposition(Record):
+    __slots__ = _fields = ("weights", "highest_weight_spaces", "components")
+
+    def __init__(self, weights: dict, highest_weight_spaces: dict, components: tuple):
+        setfield(self, "weights", weights)
+        setfield(self, "highest_weight_spaces", highest_weight_spaces)
+        setfield(self, "components", components)
 
 
 def decompose_into_components(

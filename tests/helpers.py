@@ -16,6 +16,13 @@ def load_perfbench(name):
     return module
 
 
+def replace(record, **changes):
+    """A copy of a tdlab record with the given fields changed, built (and
+    so validated) by its class."""
+    fields = {f: getattr(record, f) for f in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def span(n, *vectors) -> Subspace:
     """The subspace of Q^n spanned by the given vectors."""
     return Subspace.from_columns(n, Matrix.from_columns(vectors))

@@ -6,11 +6,11 @@ failure.
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from helpers import replace
 from tdlab import forge
 from tdlab.linalg import Matrix, Subspace, is_direct_sum, solve_commutant_constraint
 from tdlab.psi import (

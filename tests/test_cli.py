@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from tdlab import cli, forge
+from tdlab import cli, forge, split, suite
 from tdlab.linalg import Matrix
 from tdlab.report import CheckResult, VerificationReport
-from tdlab.split import SplitStructureError
 
 W1_ARGS = ["--d", "1", "--q", "2", "--a", "3", "--b", "5"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -65,6 +70,16 @@ class TestGenerate:
         code = cli.main(["generate", *W1_ARGS, "--out", "/nonexistent-dir/x.json"])
         assert code == 3
 
+    @pytest.mark.parametrize("d", [forge.MAX_DIAMETER + 1, 100000])
+    def test_d_beyond_the_limit_refused_at_once(self, d, capsys):
+        start = time.perf_counter()
+        code = cli.main(["generate", "--d", str(d), "--q", "2", "--a", "3", "--b", "5"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "exceeds the limit" in captured.err
+        assert elapsed < 1.0
+
 
 class TestVerify:
     def test_full_suite_passes(self, w1_file, tmp_path):
@@ -108,7 +123,7 @@ class TestVerify:
             rep.add(CheckResult("fake.check", "forced failure", False, Matrix([["1"]])))
             return rep
 
-        monkeypatch.setattr(cli, "full_suite", fake_suite)
+        monkeypatch.setattr(suite, "full_suite", fake_suite)
         code = cli.main(["verify", "--instance", w1_file])
         assert code == 1
         record = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -124,6 +139,17 @@ class TestVerify:
             ["verify", "--instance", w1_file, "--out", "/nonexistent-dir/x.jsonl"]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_fresh_process_matches_in_process(command, w1_file, capsys):
+    """The layers a command imports after validation load in a new process."""
+    assert cli.main([command, "--instance", w1_file]) == 0
+    expected = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "tdlab.cli", command, "--instance", w1_file],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 class TestDecompose:
@@ -173,10 +199,12 @@ class TestFailureMapping:
     @pytest.mark.parametrize("command", ["verify", "decompose", "export"])
     def test_operator_failure_exit_2(self, command, w1_file, monkeypatch, capsys):
         def broken(*args, **kwargs):
-            raise SplitStructureError("forced")
+            raise split.SplitStructureError("forced")
 
-        monkeypatch.setattr(cli, "build_apparatus", broken)
-        monkeypatch.setattr(cli, "full_suite", broken)
+        # The commands import these from their modules once the instance
+        # is validated, so the modules are where they are replaced.
+        monkeypatch.setattr(split, "build_apparatus", broken)
+        monkeypatch.setattr(suite, "full_suite", broken)
         code = cli.main([command, "--instance", w1_file])
         captured = capsys.readouterr()
         assert code == 2

@@ -177,6 +177,21 @@ class TestRoundTrip:
         with pytest.raises(IngestError, match="shape"):
             ingest(path)
 
+    def test_d_beyond_the_limit_rejected_before_parameters(self, tmp_path, monkeypatch):
+        d = forge.MAX_DIAMETER + 1
+        zeros = [["0"] * (d + 1) for _ in range(d + 1)]
+        path = tmp_path / "big.json"
+        data = json.loads(format_instance(fixture(1)))
+        data.update(d=d, A=zeros, Astar=zeros)
+        path.write_text(json.dumps(data))
+
+        def no_params(*args, **kwargs):
+            raise AssertionError("QRacahParams built beyond the limit")
+
+        monkeypatch.setattr(forge, "QRacahParams", no_params)
+        with pytest.raises(IngestError, match="exceeds the limit"):
+            ingest(path)
+
     @pytest.mark.parametrize("d", ["1", 1.5, None])
     def test_non_integer_d_rejected(self, tmp_path, d):
         path = tmp_path / "bad.json"
@@ -189,6 +204,12 @@ class TestRoundTrip:
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
+        with pytest.raises(IngestError, match="cannot read"):
+            ingest(path)
+
+    def test_undecodable_text_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"d": 1}')
         with pytest.raises(IngestError, match="cannot read"):
             ingest(path)
 

@@ -6,11 +6,11 @@ or suite code must leave every one of them unchanged.
 """
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from helpers import replace
 from tdlab import cli, forge
 from tdlab.linalg import Matrix
 from tdlab.psi import build_operator_set, run_identity_suite

@@ -3,13 +3,19 @@
 The chain apparatus -> operators -> full suite -> decomposition is kept
 within a budget of matrix constructions (each one pays a normalization),
 and a report with failing checks is pinned byte for byte, so that the
-residual witnesses, not only passing verdicts, stay identical.
+residual witnesses, not only passing verdicts, stay identical.  A refused
+CLI command is kept from importing the layers it does not run.
 """
 
 import hashlib
-from dataclasses import replace
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+from helpers import replace
 from tdlab import forge
 from tdlab.linalg import Matrix
 from tdlab.psi import build_operator_set
@@ -28,6 +34,17 @@ MATRIX_BUDGET = 1200
 # full_suite on fixture(2) with K doubled in the apparatus and the operators
 # of the true apparatus: (checks, failing checks, bytes, sha256 of the JSON).
 FAILING_SUITE = (84, 33, 10876, "90fa6b10b3b339e736383d487edaa466ab3183838ae884750366a0a9575921d5")
+
+# Modules a refused command must not load: the layers past validation, and
+# standard modules that no tdlab module needs before its verdict.
+NOT_LOADED_ON_REFUSAL = ("dataclasses", "inspect", "typing", "pathlib",
+                         "tdlab.split", "tdlab.psi", "tdlab.suite", "tdlab.uqsl2")
+REFUSAL_SCRIPT = """
+import json, sys
+from tdlab import cli
+code = cli.main(["verify", "--instance", sys.argv[1]])
+print(json.dumps([code, [m for m in sys.argv[2:] if m in sys.modules]]))
+"""
 
 
 def test_library_chain_stays_within_matrix_budget(monkeypatch):
@@ -60,3 +77,16 @@ def test_failing_report_bytes():
     assert (len(report), len(report.failures), len(text), hashlib.sha256(text).hexdigest()) == (
         FAILING_SUITE
     )
+
+
+def test_refusal_loads_only_the_validation_layer(tmp_path):
+    """Without site (which may import typing and pathlib itself), a malformed
+    instance is refused with exit 2 before any later layer is imported."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 2, "A": [["1"]]}')
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", REFUSAL_SCRIPT, str(path), *NOT_LOADED_ON_REFUSAL],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == [2, []], proc.stderr
+    assert proc.stderr.startswith("invalid instance: ")

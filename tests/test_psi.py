@@ -1,8 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from helpers import replace
 from tdlab import forge, psi
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import (

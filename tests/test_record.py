@@ -1,0 +1,94 @@
+"""Record semantics of tdlab's value classes (`tdlab.record.Record`).
+
+Each record keeps what its frozen-dataclass form gave: positional and
+keyword construction with defaults, validation at construction, no
+assignment, equality and hash by fields, copies, and the
+``Name(field=value)`` repr.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from helpers import replace
+from tdlab import forge
+from tdlab.forge import SplitFormSpec
+from tdlab.psi import OperatorSet
+from tdlab.report import CheckResult
+from tdlab.split import Cell, SplitApparatus, build_apparatus
+from tdlab.tdsystem import EigenData, ParameterError, QRacahParams, TDSystemInstance
+from tdlab.uqsl2 import Component, IrreducibleModel, ModuleDecomposition, UqAction
+
+F = Fraction
+P1 = QRacahParams(1, F(2), F(3), F(5))
+
+# (class, field values, another value for the last field).  Fields that
+# hold matrices or subspaces get stand-ins: records do not check types.
+RECORDS = [
+    (QRacahParams, (1, F(2), F(3), F(5)), F(7)),
+    (SplitFormSpec, (P1, (F(1),)), (F(2),)),
+    (CheckResult, ("axiom.i.A", "diagonalizability of A", False, "residual", "note"), ""),
+    (EigenData, ((F(1), F(2)), ("E_0 V", "E_1 V"), ("E_0", "E_1")), ("E_1", "E_0")),
+    (TDSystemInstance, (P1, "A", "A*", "eig", "eigstar"), "eig"),
+    (Cell, (0, 1, "image", "space"), "other space"),
+    (SplitApparatus, (("U_0",), ("U_0↓",), ("K_0",), "cells", "K", "B"), "B'"),
+    (OperatorSet, ("R", "R↓", "psi", "Lambda"), "Lambda'"),
+    (UqAction, ("e", "f", "k", "k^-1", F(2)), F(3)),
+    (IrreducibleModel, (2, 1, "action"), "other action"),
+    (Component, (0, 2, 1, "MK_0", ("v",), F(65, 8)), F(5, 2)),
+    (ModuleDecomposition, ("weights", "highest", ("component",)), ()),
+]
+
+
+@pytest.mark.parametrize("cls,values,other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, values, other):
+    record = cls(*values)
+    assert tuple(getattr(record, f) for f in cls._fields) == values
+    assert cls(**dict(zip(cls._fields, values))) == record
+
+    for name in (cls._fields[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    same, changed = cls(*values), replace(record, **{cls._fields[-1]: other})
+    assert same == record and hash(same) == hash(record)
+    assert changed != record and getattr(changed, cls._fields[-1]) == other
+    assert record != values and record.__eq__(values) is NotImplemented
+    assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+
+    fields = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_check_result_defaults():
+    result = CheckResult("uq.ef", "anchor", True)
+    assert (result.residual, result.note) == (None, "")
+    assert result == CheckResult(check_id="uq.ef", anchor="anchor", passed=True,
+                                 residual=None, note="")
+
+
+def test_construction_refuses_invalid_fields():
+    with pytest.raises(ParameterError, match="positive"):
+        QRacahParams(d=0, q=F(2), a=F(3), b=F(5))
+    with pytest.raises(ValueError, match="nonzero"):
+        SplitFormSpec(params=P1, phi=(F(0),))
+    assert SplitFormSpec(P1, ("3/2",)).phi == (F(3, 2),)
+
+
+def test_params_repr_is_pinned():
+    assert repr(forge.fixture(1).params) == (
+        "QRacahParams(d=1, q=Fraction(2, 1), a=Fraction(3, 1), b=Fraction(5, 1))"
+    )
+
+
+def test_apparatus_caches_are_not_fields():
+    app = build_apparatus(forge.fixture(1))
+    assert app.Kinv == app.Kop.inverse()  # cached on the original
+    x = 2 * app.Kop
+    replaced = replace(app, Kop=x)
+    assert replaced.Kinv == x.inverse() and replaced.Binv == app.Binv
+    assert replace(app) == app and "Kinv" not in repr(app)

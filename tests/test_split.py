@@ -1,9 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import span, whole
+from helpers import replace, span, whole
 from tdlab import forge
 from tdlab.linalg import (
     Matrix,

@@ -428,10 +428,12 @@ def test_empty_eigenspace_fails_validation():
     theta, _ = qracah_eigenvalues(p)
     idempotents = [
         eval_factored_poly(a, theta[:i] + theta[i + 1 :])
-        * (1 / prod(t - theta[i] for t in theta[:i] + theta[i + 1 :]))
+        * (1 / prod(theta[i] - t for t in theta[:i] + theta[i + 1 :]))
         for i in range(4)
     ]
     assert idempotents[0].is_zero()
+    assert all(e * e == e for e in idempotents)
+    assert sum(idempotents[1:], idempotents[0]) == Matrix.identity(4)
     assert (1, 2, 3, 0) in _tridiagonal_orderings(astar, idempotents)
     with pytest.raises(NotTDSystemError, match="is not an eigenvalue"):
         forge.validate((a, astar), p)
