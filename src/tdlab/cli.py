@@ -93,10 +93,8 @@ def cmd_verify(args) -> int:
     instance = forge.ingest(args.instance)
     from .suite import full_suite
 
-    report = full_suite(instance)
-    if args.suite != "all":
-        names = [s for s in args.suite.split(",") if s]
-        report = report.subset(names)
+    select = None if args.suite == "all" else [s for s in args.suite.split(",") if s]
+    report = full_suite(instance, select=select)
     _write(report.to_json_lines(), args.out)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
@@ -127,7 +125,7 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _apparatus_payload(instance, apparatus) -> dict:
+def _apparatus_payload(apparatus) -> dict:
     return {
         "U": [s.basis.to_strings() for s in apparatus.U],
         "Udd": [s.basis.to_strings() for s in apparatus.Udd],
@@ -136,8 +134,6 @@ def _apparatus_payload(instance, apparatus) -> dict:
             f"{i},{j}": cell.space.basis.to_strings()
             for (i, j), cell in sorted(apparatus.cells.items())
         },
-        "K": apparatus.Kop.to_strings(),
-        "B": apparatus.Bop.to_strings(),
     }
 
 
@@ -147,19 +143,13 @@ def cmd_export(args) -> int:
     from .split import build_apparatus
 
     apparatus = build_apparatus(instance)
-    payload: dict
+    payload = {"K": apparatus.Kop.to_strings(), "B": apparatus.Bop.to_strings()}
     if args.what == "operators":
         ops = build_operator_set(instance, apparatus)
-        payload = {
-            "K": apparatus.Kop.to_strings(),
-            "B": apparatus.Bop.to_strings(),
-            "R": ops.R.to_strings(),
-            "Rdd": ops.Rdd.to_strings(),
-            "psi": ops.psi.to_strings(),
-            "Lambda": ops.Lambda.to_strings(),
-        }
+        payload.update((name, getattr(ops, name).to_strings())
+                       for name in ("R", "Rdd", "psi", "Lambda"))
     else:
-        payload = _apparatus_payload(instance, apparatus)
+        payload.update(_apparatus_payload(apparatus))
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 

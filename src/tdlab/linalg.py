@@ -108,12 +108,6 @@ class Matrix:
         return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, entries: Sequence) -> "Matrix":
-        if not entries:
-            return cls.zeros(0, 1)
-        return cls([[x] for x in entries])
-
-    @classmethod
     def from_columns(cls, columns: Iterable[Sequence]) -> "Matrix":
         cols = [list(c) for c in columns]
         if not cols:
@@ -226,19 +220,6 @@ class Matrix:
         scaled = [[[x * (d // m._d) for x in row] for row in m._n] for m in blocks]
         num = [list(chain.from_iterable(parts)) for parts in zip(*scaled)]
         return Matrix._of(self.rows, sum(m.cols for m in blocks), num, d)
-
-    def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
-        v = [rat(x) for x in vector]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        dv = lcm(*(x.denominator for x in v))
-        nv = [x.numerator * (dv // x.denominator) for x in v]
-        d = self._d * dv
-        return tuple(
-            Fraction(sum(x * y for x, y in zip(row, nv) if x and y), d)
-            for row in self._n
-        )
 
     def _top_rows(self, k: int) -> "Matrix":
         """The first k rows."""

@@ -8,8 +8,10 @@ Disagreement between the two is a hard error.
 Construction raises OperatorError only when an operator cannot be built
 or its two constructions disagree (exit code 2 on the command line).
 Every identity, including the raising and lowering properties of R, R↓
-and psi, is a check of `run_identity_suite` that carries its residual
-(exit code 1).
+and psi, is one row of the table in `run_identity_suite`: a check id, an
+anchor, and the items that decide it, each a residual or a pass flag with
+its witness.  A failing check carries its first failing item as the
+witness (exit code 1).
 """
 
 from __future__ import annotations
@@ -136,22 +138,29 @@ def build_operator_set(sys: TDSystemInstance, apparatus: SplitApparatus) -> Oper
 
 
 def run_identity_suite(
-    sys: TDSystemInstance, apparatus: SplitApparatus, ops: OperatorSet
+    sys: TDSystemInstance,
+    apparatus: SplitApparatus,
+    ops: OperatorSet,
+    report: VerificationReport | None = None,
 ) -> VerificationReport:
-    """Every exact operator identity in scope, one report entry each; each
-    residual is one `combine` of products computed once."""
-    rep = VerificationReport()
+    """Every exact operator identity in scope, one table row each, recorded
+    into `report` (a new one if not given).  The products that several rows
+    share are formed once, before the table; the rest of a row is formed
+    only if the report selects it."""
+    report = VerificationReport() if report is None else report
     d, n = sys.d, sys.dim
     q, a = sys.params.q, sys.params.a
     eye = Matrix.identity(n)
     K, B = apparatus.Kop, apparatus.Bop
     Ki, Bi = apparatus.Kinv, apparatus.Binv
     R, Rdd, psi, lam = ops.R, ops.Rdd, ops.psi, ops.Lambda
-    A = sys.A
-    qi = 1 / q
-    ai = 1 / a
+    A, theta = sys.A, sys.eig.eigenvalues
+    U, Udd = apparatus.U, apparatus.Udd
+    qi, ai = 1 / q, 1 / a
+    w, w2, c2 = 1 / (q - qi), q * q + qi * qi, (q - qi) ** 2
+    c1q, c2q = (ai * q - a * qi) / (q - qi), (a * q - ai * qi) / (q - qi)
 
-    # Products that more than one identity uses, each computed once.
+    # Products that more than one row uses, each formed once.
     pows = [eye, psi]  # psi^0 .. psi^(d+1)
     for _ in range(d):
         pows.append(pows[-1] * psi)
@@ -162,7 +171,8 @@ def run_identity_suite(
     KK, BB, KB, BK = K * K, B * B, K * B, B * K
     KiKi, BiBi, KiBi, BiKi = Ki * Ki, Bi * Bi, Ki * Bi, Bi * Ki
     bk, kb, kib, bik = B * Ki, K * Bi, Ki * B, Bi * K
-    i_bk, i_kb, i_kib, i_bik = (combine((1, eye), (-1, m)) for m in (bk, kb, kib, bik))
+    i_bk, i_kb, i_kib, i_bik = lowering = tuple(combine((1, eye), (-1, m))
+                                                for m in (bk, kb, kib, bik))
     a_bk, a_kb = combine((a, eye), (-ai, bk)), combine((ai, eye), (-a, kb))
     a_kib, a_bik = combine((a, eye), (-ai, kib)), combine((ai, eye), (-a, bik))
     # I - c psi and the series sum_{i<=d} c^i psi^i, its inverse.
@@ -171,423 +181,191 @@ def run_identity_suite(
            for c in lin}
     k_geo, ki_geo = K * geo[ai * qi], Ki * geo[a * q]
     b_geo, bi_geo = B * geo[a * qi], Bi * geo[ai * q]
-
-    def contained(op, sources, targets, check_id, anchor):
-        """op maps each sources[i] into targets[i]; records one entry."""
-        for i, s in enumerate(sources):
-            image = op(i) * s.basis
-            if not targets[i].holds(image):
-                rep.record(check_id, anchor, False, image)
-                return
-        rep.record(check_id, anchor, True)
-
+    family = (psi, bk, kb, kib, bik)
+    psiU = [psi * u.basis for u in U]
     zero = Subspace.zero(n)
     # U_0 + ... + U_{i-1} at index i, for 0 <= i <= d + 1; dually for U↓.
     prefix_u, prefix_udd = ((zero,) + p for p in apparatus.prefix_sums)
 
-    # Raising maps on the split decompositions.
-    theta = sys.eig.eigenvalues
-    contained(
-        lambda i: R,
-        apparatus.U,
-        apparatus.U[1:] + (zero,),
-        "lem.RU.first",
-        "R U_i <= U_{i+1}, R U_d = 0",
-    )
-    contained(
-        lambda i: Rdd,
-        apparatus.Udd,
-        apparatus.Udd[1:] + (zero,),
-        "lem.RU.second",
-        "Rdd U_i↓ <= U_{i+1}↓, Rdd U_d↓ = 0",
-    )
-    for cid, op, spaces, evs, anchor in (
-        ("lem.RonU.first", R, apparatus.U, theta, "R acts on U_i as A - theta_i I"),
-        (
-            "lem.RonU.second",
-            Rdd,
-            apparatus.Udd,
-            tuple(reversed(theta)),
-            "Rdd acts on U_i↓ as A - theta_{d-i} I",
-        ),
-    ):
-        ok, residual = True, None
-        for i, s in enumerate(spaces):
-            r = combine((1, op), (-1, A), (evs[i], eye)) * s.basis
-            if not r.is_zero():
-                ok, residual = False, r
-                break
-        rep.record(cid, anchor, ok, residual)
-    rep.check("lem.RU.nilpotent.first", "R^(d+1) = 0", R ** (d + 1))
-    rep.check("lem.RU.nilpotent.second", "Rdd^(d+1) = 0", Rdd ** (d + 1))
+    def agree(first, *rest):
+        """The residual against the first of each later expression that differs."""
+        return (m - first for m in rest if m != first)
 
-    # How K and B straddle the other split decomposition.
-    contained(
-        lambda i: combine((1, B), (-(q ** (d - 2 * i)), eye)),
-        apparatus.U,
-        prefix_u[:-1],
-        "lem.KUdd.1",
-        "(B - q^(d-2i) I) U_i <= U_0 + ... + U_{i-1}",
-    )
-    contained(
-        lambda i: combine((1, K), (-(q ** (d - 2 * i)), eye)),
-        apparatus.Udd,
-        prefix_udd[:-1],
-        "lem.KUdd.2",
-        "(K - q^(d-2i) I) U_i↓ <= U_0↓ + ... + U_{i-1}↓",
-    )
-
-    # Weyl-type commutation.
-    rep.check("lem.KRKinv.1", "K R K^-1 = q^-2 R",
-              combine((1, K * R * Ki), (-qi * qi, R)))
-    rep.check("lem.KRKinv.2", "B Rdd B^-1 = q^-2 Rdd",
-              combine((1, B * Rdd * Bi), (-qi * qi, Rdd)))
-    rep.check("lem.KpsiKinv.1", "K psi K^-1 = q^2 psi",
-              combine((1, K * psi * Ki), (-q * q, psi)))
-    rep.check("lem.KpsiKinv.2", "B psi B^-1 = q^2 psi",
-              combine((1, B * psi * Bi), (-q * q, psi)))
-    w = 1 / (q - qi)
-    rep.check(
-        "lem.AKqWeyl.1",
-        "(q KA - q^-1 AK) / (q - q^-1) = a K^2 + a^-1 I",
-        combine((w * q, K * A), (-w * qi, A * K), (-a, KK), (-ai, eye)),
-    )
-    rep.check(
-        "lem.AKqWeyl.2",
-        "(q BA - q^-1 AB) / (q - q^-1) = a^-1 B^2 + a I",
-        combine((w * q, B * A), (-w * qi, A * B), (-ai, BB), (-a, eye)),
-    )
-
-    # The defining commutators of psi.
-    rep.check(
-        "eq.psiR",
-        "psi R - R psi = (q - q^-1)(K - K^-1)",
-        combine((1, psiR), (-1, Rpsi), (qi - q, K), (q - qi, Ki)),
-    )
-    rep.check(
-        "eq.psiRdd",
-        "psi Rdd - Rdd psi = (q - q^-1)(B - B^-1)",
-        combine((1, psiRdd), (-1, Rddpsi), (qi - q, B), (q - qi, Bi)),
-    )
-    rep.check(
-        "eq.Rdiff",
-        "Rdd - R = aK + a^-1 K^-1 - a^-1 B - a B^-1",
-        combine((1, Rdd), (-1, R), (-a, K), (-ai, Ki), (ai, B), (a, Bi)),
-    )
-
-    # psi lowers both splits and vanishes exactly on the K_i seeds.
-    contained(
-        lambda i: psi,
-        apparatus.U,
-        (zero,) + apparatus.U[:-1],
-        "lem.psiU.first",
-        "psi U_i <= U_{i-1}, psi U_0 = 0",
-    )
-    contained(
-        lambda i: psi,
-        apparatus.Udd,
-        (zero,) + apparatus.Udd[:-1],
-        "lem.psiU.second",
-        "psi U_i↓ <= U_{i-1}↓, psi U_0↓ = 0",
-    )
-    rep.check("lem.psiU.nilpotent", "psi^(d+1) = 0", pows[d + 1])
-    kernel_ok = True
-    witness = None
-    for i, kspace in enumerate(apparatus.Kspaces):
-        ub = apparatus.U[i].basis
-        restricted = psi * ub
-        ker = restricted.kernel()
-        kernel_space = (
-            Subspace.from_columns(n, ub * ker)
-            if ker.cols
-            else zero
-        )
-        if kernel_space != kspace:
-            kernel_ok, witness = False, restricted
-            break
-    rep.record(
-        "lem.psiUkernel", "kernel of psi on U_i equals K_i", kernel_ok, witness
-    )
-
-    # Scalar action on each refined cell: R psi on (i, j) is the lowering
-    # coefficient of (i, j), psi R that of (i, j + 1).
-    for cid, lhs, shift, anchor in (
-        ("cell.Rpsi", Rpsi, 0, "R psi is scalar on each cell (i, j)"),
-        ("cell.psiR", psiR, 1, "psi R is scalar on each cell (i, j)"),
-    ):
-        ok, witness = True, None
-        for (i, j), cell in sorted(apparatus.cells.items()):
-            coeff = cell_coefficient(q, d, i, j + shift)
-            r = combine((1, lhs * cell.image), (-coeff, cell.image))
-            if not r.is_zero():
-                ok, witness = False, r
-                break
-        rep.record(cid, anchor, ok, witness)
-
-    # Casimir action, both structures.
-    rep.check(
-        "lem.casimir.act1.1",
-        "Lambda = psi R + q^-1 K + q K^-1",
-        combine((1, lam), (-1, psiR), (-qi, K), (-q, Ki)),
-    )
-    rep.check(
-        "lem.casimir.act1.2",
-        "Lambda = R psi + q K + q^-1 K^-1",
-        combine((1, lam), (-1, Rpsi), (-q, K), (-qi, Ki)),
-    )
-    rep.check(
-        "lem.casimir.act2.1",
-        "Lambda = psi Rdd + q^-1 B + q B^-1",
-        combine((1, lam), (-1, psiRdd), (-qi, B), (-q, Bi)),
-    )
-    rep.check(
-        "lem.casimir.act2.2",
-        "Lambda = Rdd psi + q B + q^-1 B^-1",
-        combine((1, lam), (-1, Rddpsi), (-q, B), (-qi, Bi)),
-    )
-    rep.check(
-        "lem.4exp",
-        "the Casimir actions of the two module structures coincide",
-        combine((1, psiR), (qi, K), (q, Ki), (-1, psiRdd), (-qi, B), (-q, Bi)),
-    )
-    for cid, other, lam_other in (
-        ("lem.cas.comm.psi", psi, lampsi),
-        ("lem.cas.comm.R", R, lamR),
-        ("lem.cas.comm.K", K, lam * K),
-        ("lem.cas.comm.A", A, lamA),
-        ("lem.cas.comm.Rdd", Rdd, lamRdd),
-        ("lem.cas.comm.B", B, lam * B),
-    ):
-        rep.check(cid, "Lambda commutes", combine((1, lam_other), (-1, other * lam)))
-
-    # Cubic q-Serre-like relations.
-    w2 = q * q + qi * qi
-    c2 = (q - qi) ** 2
-    rep.check(
-        "lem.R2psi.1",
-        "R^2 psi - (q^2 + q^-2) R psi R + psi R^2 = -(q - q^-1)^2 Lambda R",
-        combine((1, R * Rpsi), (-w2, Rpsi * R), (1, psiR * R), (c2, lamR)),
-    )
-    rep.check(
-        "lem.R2psi.2",
-        "psi^2 R - (q^2 + q^-2) psi R psi + R psi^2 = -(q - q^-1)^2 Lambda psi",
-        combine((1, psi2 * R), (-w2, psiR * psi), (1, R * psi2), (c2, lampsi)),
-    )
-    rep.check(
-        "lem.R2psidd.1",
-        "Rdd^2 psi - (q^2 + q^-2) Rdd psi Rdd + psi Rdd^2 = -(q - q^-1)^2 Lambda Rdd",
-        combine((1, Rdd * Rddpsi), (-w2, Rddpsi * Rdd), (1, psiRdd * Rdd), (c2, lamRdd)),
-    )
-    rep.check(
-        "lem.R2psidd.2",
-        "psi^2 Rdd - (q^2 + q^-2) psi Rdd psi + Rdd psi^2 = -(q - q^-1)^2 Lambda psi",
-        combine((1, psi2 * Rdd), (-w2, psiRdd * psi), (1, Rdd * psi2), (c2, lampsi)),
-    )
-
-    # Lambda is scalar on each homogeneous component.
-    ok, witness = True, None
-    for i, kspace in enumerate(apparatus.Kspaces):
-        if kspace.is_zero():
-            continue
-        mk = apparatus.mk_space(i).basis
-        scalar = q ** (d - 2 * i + 1) + q ** (2 * i - d - 1)
-        r = combine((1, lam * mk), (-scalar, mk))
-        if not r.is_zero():
-            ok, witness = False, r
-            break
-    rep.record(
-        "lem.Ucasaction",
-        "Lambda acts on MK_i as q^(d-2i+1) + q^(2i-d-1)",
-        ok,
-        witness,
-    )
-
-    # The two structures tied together through psi.
-    quad_a = [
-        lin[a * q] * K,
-        lin[ai * q] * B,
-        K * lin[a * qi],
-        B * lin[ai * qi],
-    ]
-    quad_b = [
-        lin[ai * qi] * Ki,
-        lin[a * qi] * Bi,
-        Ki * lin[ai * q],
-        Bi * lin[a * q],
-    ]
-    for cid, quad in (("prop.coincide.a", quad_a), ("prop.coincide.b", quad_b)):
-        ok, witness = True, None
-        for m in quad[1:]:
-            if m != quad[0]:
-                ok, witness = False, m - quad[0]
-                break
-        rep.record(cid, "four expressions coincide", ok, witness)
-
-    for cid, coeff in (
-        ("lem.invertible2.1", a * q),
-        ("lem.invertible2.2", ai * q),
-        ("lem.invertible2.3", a * qi),
-        ("lem.invertible2.4", ai * qi),
-    ):
-        rep.check(
-            cid,
-            "(I - c psi)^-1 is the degree-d geometric series in psi",
-            combine((1, lin[coeff] * geo[coeff]), (-1, eye)),
-        )
-
-    rep.check("thm.BK.1", "B K^-1 (I - a^-1 q psi) = I - a q psi",
-              combine((1, bk * lin[ai * q]), (-1, lin[a * q])))
-    rep.check("thm.BK.2", "K B^-1 (I - a q psi) = I - a^-1 q psi",
-              combine((1, kb * lin[a * q]), (-1, lin[ai * q])))
-    rep.check("thm.BK.3", "K^-1 B (I - a^-1 q^-1 psi) = I - a q^-1 psi",
-              combine((1, kib * lin[ai * qi]), (-1, lin[a * qi])))
-    rep.check("thm.BK.4", "B^-1 K (I - a q^-1 psi) = I - a^-1 q^-1 psi",
-              combine((1, bik * lin[a * qi]), (-1, lin[ai * qi])))
-
-    family = (psi, bk, kb, kib, bik)
-    ok, witness = True, None
-    for idx, m1 in enumerate(family):
-        for m2 in family[idx + 1 :]:
-            comm = combine((1, m1 * m2), (-1, m2 * m1))
-            if not comm.is_zero():
-                ok, witness = False, comm
-                break
-        if not ok:
-            break
-    rep.record(
-        "lem.KBcomm",
-        "psi, BK^-1, KB^-1, K^-1B, B^-1K mutually commute",
-        ok,
-        witness,
-    )
-
-    lowering_family = (i_bk, i_kb, i_kib, i_bik)
-    ok, witness = True, None
-    for m in lowering_family:
-        for i in range(d + 1):
-            image = m * apparatus.U[i].basis
-            if not prefix_u[i].holds(image):
-                ok, witness = False, image
-                break
-        if not ok:
-            break
-    rep.record(
-        "lem.IKB.maps",
-        "I - BK^-1 (and companions) map U_i into U_0 + ... + U_{i-1}",
-        ok,
-        witness,
-    )
-    ok, witness = True, None
-    for m in lowering_family:
-        power = m ** (d + 1)
-        if not power.is_zero():
-            ok, witness = False, power
-            break
-    rep.record(
-        "lem.IKB.nilpotent",
-        "I - BK^-1 (and companions) are nilpotent with index <= d + 1",
-        ok,
-        witness,
-    )
-
-    ok = all(m.rank() == n for m in (a_bk, a_kb, a_kib, a_bik))
-    rep.record(
-        "lem.invertible1", "aI - a^-1 BK^-1 (and companions) are invertible", ok
-    )
-
-    rep.check("thm.psiequations.1", "psi q (aI - a^-1 BK^-1) = I - BK^-1",
-              combine((q, psi * a_bk), (-1, i_bk)))
-    rep.check("thm.psiequations.2", "psi q (a^-1 I - a KB^-1) = I - KB^-1",
-              combine((q, psi * a_kb), (-1, i_kb)))
-    rep.check("thm.psiequations.3", "psi (aI - a^-1 K^-1 B) = q (I - K^-1 B)",
-              combine((1, psi * a_kib), (-q, i_kib)))
-    rep.check("thm.psiequations.4", "psi (a^-1 I - a B^-1 K) = q (I - B^-1 K)",
-              combine((1, psi * a_bik), (-q, i_bik)))
-
-    c1 = (ai * q - a * qi) / (q - qi)
-    c2q = (a * q - ai * qi) / (q - qi)
-    rep.check(
-        "thm.KBquad",
-        "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
-        combine((a, KK), (-c1, KB), (-c2q, BK), (ai, BB)),
-    )
-    rep.check(
-        "thm.KBinvquad",
-        "a B^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a^-1 K^-2 = 0",
-        combine((a, BiBi), (-c1, KiBi), (-c2q, BiKi), (ai, KiKi)),
-    )
-
-    rep.check(
-        "lem.KBfactor.1",
-        "q (K - B)(aK - a^-1 B) = q^-1 (aK - a^-1 B)(K - B)",
-        combine((q * a, KK), (-q * ai, KB), (-q * a, BK), (q * ai, BB),
-                (-qi * a, KK), (qi * a, KB), (qi * ai, BK), (-qi * ai, BB)),
-    )
-    rep.check(
-        "lem.KBfactor.2",
-        "q (a^-1 K^-1 - a B^-1)(K^-1 - B^-1) = q^-1 (K^-1 - B^-1)(a^-1 K^-1 - a B^-1)",
-        combine((q * ai, KiKi), (-q * ai, KiBi), (-q * a, BiKi), (q * a, BiBi),
-                (-qi * ai, KiKi), (qi * a, KiBi), (qi * ai, BiKi), (-qi * a, BiBi)),
-    )
-    rep.check(
-        "lem.KBfactor.3",
-        "q (I - K^-1 B)(aI - a^-1 BK^-1) = q^-1 (aI - a^-1 K^-1 B)(I - BK^-1)",
-        combine((q, i_kib * a_bk), (-qi, a_kib * i_bk)),
-    )
-    rep.check(
-        "lem.KBfactor.4",
-        "q (a^-1 I - a KB^-1)(I - B^-1 K) = q^-1 (I - KB^-1)(a^-1 I - a B^-1 K)",
-        combine((q, a_kb * i_bik), (-qi, i_kb * a_bik)),
-    )
-
-    rep.check(
-        "lem.KKBB1.1",
-        "B = a^2 K + (1 - a^2) K sum a^-i q^-i psi^i",
-        combine((1, B), (-a * a, K), (a * a - 1, k_geo)),
-    )
-    rep.check(
-        "lem.KKBB1.2",
-        "B^-1 = a^-2 K^-1 + (1 - a^-2) K^-1 sum a^i q^i psi^i",
-        combine((1, Bi), (-ai * ai, Ki), (ai * ai - 1, ki_geo)),
-    )
-    rep.check(
-        "lem.KKBB1.3",
-        "Rdd = R + (a - a^-1) sum (a^-i q^-i K - a^i q^i K^-1) psi^i",
-        combine((1, Rdd), (-1, R), (ai - a, k_geo), (a - ai, ki_geo)),
-    )
-    rep.check(
-        "lem.KKBB2.1",
-        "K = a^-2 B + (1 - a^-2) B sum a^i q^-i psi^i",
-        combine((1, K), (-ai * ai, B), (ai * ai - 1, b_geo)),
-    )
-    rep.check(
-        "lem.KKBB2.2",
-        "K^-1 = a^2 B^-1 + (1 - a^2) B^-1 sum a^-i q^i psi^i",
-        combine((1, Ki), (-a * a, Bi), (a * a - 1, bi_geo)),
-    )
-    rep.check(
-        "lem.KKBB2.3",
-        "R = Rdd + (a - a^-1) sum (a^-i q^i B^-1 - a^i q^-i B) psi^i",
-        combine((1, R), (-1, Rdd), (ai - a, bi_geo), (a - ai, b_geo)),
-    )
-
-    rep.check(
-        "eq.A2psi",
-        "A^2 psi - (q^2 + q^-2) A psi A + psi A^2 + (q^2 - q^-2)^2 psi "
-        "= -(q - q^-1)^2 Lambda A + (a + a^-1)(q - q^-1)^2 (q + q^-1) I",
-        combine(
-            (1, A * Apsi),
-            (-w2, Apsi * A),
-            (1, psiA * A),
-            ((q * q - qi * qi) ** 2, psi),
-            (c2, lamA),
-            (-(a + ai) * c2 * (q + qi), eye),
-        ),
-    )
-    rep.check(
-        "eq.psi2A",
-        "psi^2 A - (q^2 + q^-2) psi A psi + A psi^2 = -(q - q^-1)^2 Lambda psi",
-        combine((1, psi2 * A), (-w2, psiA * psi), (1, A * psi2), (c2, lampsi)),
-    )
-
-    return rep.sorted()
+    # Each row is (check id, anchor, items): a Matrix residual, or items in
+    # order, each a residual or an (ok, witness) pair; see `record`.
+    report.run((
+        # Raising maps on the split decompositions.
+        ("lem.RU.first", "R U_i <= U_{i+1}, R U_d = 0", lambda: (
+            (t.holds(x := R * s.basis), x) for s, t in zip(U, U[1:] + (zero,)))),
+        ("lem.RU.second", "Rdd U_i↓ <= U_{i+1}↓, Rdd U_d↓ = 0", lambda: (
+            (t.holds(x := Rdd * s.basis), x) for s, t in zip(Udd, Udd[1:] + (zero,)))),
+        ("lem.RonU.first", "R acts on U_i as A - theta_i I", lambda: (
+            combine((1, R), (-1, A), (t, eye)) * s.basis for s, t in zip(U, theta))),
+        ("lem.RonU.second", "Rdd acts on U_i↓ as A - theta_{d-i} I", lambda: (
+            combine((1, Rdd), (-1, A), (t, eye)) * s.basis
+            for s, t in zip(Udd, theta[::-1]))),
+        ("lem.RU.nilpotent.first", "R^(d+1) = 0", lambda: R ** (d + 1)),
+        ("lem.RU.nilpotent.second", "Rdd^(d+1) = 0", lambda: Rdd ** (d + 1)),
+        # How K and B straddle the other split decomposition.
+        ("lem.KUdd.1", "(B - q^(d-2i) I) U_i <= U_0 + ... + U_{i-1}", lambda: (
+            (t.holds(x := combine((1, B), (-(q ** (d - 2 * i)), eye)) * s.basis), x)
+            for i, (s, t) in enumerate(zip(U, prefix_u)))),
+        ("lem.KUdd.2", "(K - q^(d-2i) I) U_i↓ <= U_0↓ + ... + U_{i-1}↓", lambda: (
+            (t.holds(x := combine((1, K), (-(q ** (d - 2 * i)), eye)) * s.basis), x)
+            for i, (s, t) in enumerate(zip(Udd, prefix_udd)))),
+        # Weyl-type commutation.
+        ("lem.KRKinv.1", "K R K^-1 = q^-2 R",
+         lambda: combine((1, K * R * Ki), (-qi * qi, R))),
+        ("lem.KRKinv.2", "B Rdd B^-1 = q^-2 Rdd",
+         lambda: combine((1, B * Rdd * Bi), (-qi * qi, Rdd))),
+        ("lem.KpsiKinv.1", "K psi K^-1 = q^2 psi",
+         lambda: combine((1, K * psi * Ki), (-q * q, psi))),
+        ("lem.KpsiKinv.2", "B psi B^-1 = q^2 psi",
+         lambda: combine((1, B * psi * Bi), (-q * q, psi))),
+        ("lem.AKqWeyl.1", "(q KA - q^-1 AK) / (q - q^-1) = a K^2 + a^-1 I",
+         lambda: combine((w * q, K * A), (-w * qi, A * K), (-a, KK), (-ai, eye))),
+        ("lem.AKqWeyl.2", "(q BA - q^-1 AB) / (q - q^-1) = a^-1 B^2 + a I",
+         lambda: combine((w * q, B * A), (-w * qi, A * B), (-ai, BB), (-a, eye))),
+        # The defining commutators of psi.
+        ("eq.psiR", "psi R - R psi = (q - q^-1)(K - K^-1)",
+         lambda: combine((1, psiR), (-1, Rpsi), (qi - q, K), (q - qi, Ki))),
+        ("eq.psiRdd", "psi Rdd - Rdd psi = (q - q^-1)(B - B^-1)",
+         lambda: combine((1, psiRdd), (-1, Rddpsi), (qi - q, B), (q - qi, Bi))),
+        ("eq.Rdiff", "Rdd - R = aK + a^-1 K^-1 - a^-1 B - a B^-1",
+         lambda: combine((1, Rdd), (-1, R), (-a, K), (-ai, Ki), (ai, B), (a, Bi))),
+        # psi lowers both splits and vanishes exactly on the K_i seeds.
+        ("lem.psiU.first", "psi U_i <= U_{i-1}, psi U_0 = 0", lambda: (
+            (t.holds(x), x) for x, t in zip(psiU, (zero,) + U[:-1]))),
+        ("lem.psiU.second", "psi U_i↓ <= U_{i-1}↓, psi U_0↓ = 0", lambda: (
+            (t.holds(x := psi * s.basis), x) for s, t in zip(Udd, (zero,) + Udd[:-1]))),
+        ("lem.psiU.nilpotent", "psi^(d+1) = 0", lambda: pows[d + 1]),
+        ("lem.psiUkernel", "kernel of psi on U_i equals K_i", lambda: (
+            (Subspace.from_columns(n, u.basis * x.kernel()) == k, x)
+            for u, x, k in zip(U, psiU, apparatus.Kspaces))),
+        # Scalar action on each refined cell: R psi on (i, j) is the lowering
+        # coefficient of (i, j), psi R that of (i, j + 1).
+        ("cell.Rpsi", "R psi is scalar on each cell (i, j)", lambda: (
+            combine((1, Rpsi * c.image), (-cell_coefficient(q, d, i, j), c.image))
+            for (i, j), c in sorted(apparatus.cells.items()))),
+        ("cell.psiR", "psi R is scalar on each cell (i, j)", lambda: (
+            combine((1, psiR * c.image), (-cell_coefficient(q, d, i, j + 1), c.image))
+            for (i, j), c in sorted(apparatus.cells.items()))),
+        # Casimir action, both structures.
+        ("lem.casimir.act1.1", "Lambda = psi R + q^-1 K + q K^-1",
+         lambda: combine((1, lam), (-1, psiR), (-qi, K), (-q, Ki))),
+        ("lem.casimir.act1.2", "Lambda = R psi + q K + q^-1 K^-1",
+         lambda: combine((1, lam), (-1, Rpsi), (-q, K), (-qi, Ki))),
+        ("lem.casimir.act2.1", "Lambda = psi Rdd + q^-1 B + q B^-1",
+         lambda: combine((1, lam), (-1, psiRdd), (-qi, B), (-q, Bi))),
+        ("lem.casimir.act2.2", "Lambda = Rdd psi + q B + q^-1 B^-1",
+         lambda: combine((1, lam), (-1, Rddpsi), (-q, B), (-qi, Bi))),
+        ("lem.4exp", "the Casimir actions of the two module structures coincide",
+         lambda: combine((1, psiR), (qi, K), (q, Ki), (-1, psiRdd), (-qi, B), (-q, Bi))),
+        ("lem.cas.comm.psi", "Lambda commutes", lambda: combine((1, lampsi), (-1, psi * lam))),
+        ("lem.cas.comm.R", "Lambda commutes", lambda: combine((1, lamR), (-1, R * lam))),
+        ("lem.cas.comm.K", "Lambda commutes", lambda: combine((1, lam * K), (-1, K * lam))),
+        ("lem.cas.comm.A", "Lambda commutes", lambda: combine((1, lamA), (-1, A * lam))),
+        ("lem.cas.comm.Rdd", "Lambda commutes",
+         lambda: combine((1, lamRdd), (-1, Rdd * lam))),
+        ("lem.cas.comm.B", "Lambda commutes", lambda: combine((1, lam * B), (-1, B * lam))),
+        # Cubic q-Serre-like relations.
+        ("lem.R2psi.1",
+         "R^2 psi - (q^2 + q^-2) R psi R + psi R^2 = -(q - q^-1)^2 Lambda R",
+         lambda: combine((1, R * Rpsi), (-w2, Rpsi * R), (1, psiR * R), (c2, lamR))),
+        ("lem.R2psi.2",
+         "psi^2 R - (q^2 + q^-2) psi R psi + R psi^2 = -(q - q^-1)^2 Lambda psi",
+         lambda: combine((1, psi2 * R), (-w2, psiR * psi), (1, R * psi2), (c2, lampsi))),
+        ("lem.R2psidd.1",
+         "Rdd^2 psi - (q^2 + q^-2) Rdd psi Rdd + psi Rdd^2 = -(q - q^-1)^2 Lambda Rdd",
+         lambda: combine((1, Rdd * Rddpsi), (-w2, Rddpsi * Rdd), (1, psiRdd * Rdd),
+                         (c2, lamRdd))),
+        ("lem.R2psidd.2",
+         "psi^2 Rdd - (q^2 + q^-2) psi Rdd psi + Rdd psi^2 = -(q - q^-1)^2 Lambda psi",
+         lambda: combine((1, psi2 * Rdd), (-w2, psiRdd * psi), (1, Rdd * psi2),
+                         (c2, lampsi))),
+        # Lambda is scalar on each homogeneous component.
+        ("lem.Ucasaction", "Lambda acts on MK_i as q^(d-2i+1) + q^(2i-d-1)", lambda: (
+            combine((1, lam * m.basis), (-(q ** (d - 2 * i + 1) + q ** (2 * i - d - 1)),
+                                         m.basis))
+            for i, (k, m) in enumerate(zip(apparatus.Kspaces, apparatus.MK))
+            if not k.is_zero())),
+        # The two structures tied together through psi.
+        ("prop.coincide.a", "four expressions coincide", lambda: agree(
+            lin[a * q] * K, lin[ai * q] * B, K * lin[a * qi], B * lin[ai * qi])),
+        ("prop.coincide.b", "four expressions coincide", lambda: agree(
+            lin[ai * qi] * Ki, lin[a * qi] * Bi, Ki * lin[ai * q], Bi * lin[a * q])),
+        ("lem.invertible2.1", "(I - c psi)^-1 is the degree-d geometric series in psi",
+         lambda: combine((1, lin[a * q] * geo[a * q]), (-1, eye))),
+        ("lem.invertible2.2", "(I - c psi)^-1 is the degree-d geometric series in psi",
+         lambda: combine((1, lin[ai * q] * geo[ai * q]), (-1, eye))),
+        ("lem.invertible2.3", "(I - c psi)^-1 is the degree-d geometric series in psi",
+         lambda: combine((1, lin[a * qi] * geo[a * qi]), (-1, eye))),
+        ("lem.invertible2.4", "(I - c psi)^-1 is the degree-d geometric series in psi",
+         lambda: combine((1, lin[ai * qi] * geo[ai * qi]), (-1, eye))),
+        ("thm.BK.1", "B K^-1 (I - a^-1 q psi) = I - a q psi",
+         lambda: combine((1, bk * lin[ai * q]), (-1, lin[a * q]))),
+        ("thm.BK.2", "K B^-1 (I - a q psi) = I - a^-1 q psi",
+         lambda: combine((1, kb * lin[a * q]), (-1, lin[ai * q]))),
+        ("thm.BK.3", "K^-1 B (I - a^-1 q^-1 psi) = I - a q^-1 psi",
+         lambda: combine((1, kib * lin[ai * qi]), (-1, lin[a * qi]))),
+        ("thm.BK.4", "B^-1 K (I - a q^-1 psi) = I - a^-1 q^-1 psi",
+         lambda: combine((1, bik * lin[a * qi]), (-1, lin[ai * qi]))),
+        ("lem.KBcomm", "psi, BK^-1, KB^-1, K^-1B, B^-1K mutually commute", lambda: (
+            combine((1, x * y), (-1, y * x))
+            for k, x in enumerate(family) for y in family[k + 1:])),
+        ("lem.IKB.maps", "I - BK^-1 (and companions) map U_i into U_0 + ... + U_{i-1}",
+         lambda: ((t.holds(x := m * s.basis), x) for m in lowering
+                  for s, t in zip(U, prefix_u))),
+        ("lem.IKB.nilpotent",
+         "I - BK^-1 (and companions) are nilpotent with index <= d + 1",
+         lambda: (m ** (d + 1) for m in lowering)),
+        ("lem.invertible1", "aI - a^-1 BK^-1 (and companions) are invertible",
+         lambda: ((m.rank() == n, None) for m in (a_bk, a_kb, a_kib, a_bik))),
+        ("thm.psiequations.1", "psi q (aI - a^-1 BK^-1) = I - BK^-1",
+         lambda: combine((q, psi * a_bk), (-1, i_bk))),
+        ("thm.psiequations.2", "psi q (a^-1 I - a KB^-1) = I - KB^-1",
+         lambda: combine((q, psi * a_kb), (-1, i_kb))),
+        ("thm.psiequations.3", "psi (aI - a^-1 K^-1 B) = q (I - K^-1 B)",
+         lambda: combine((1, psi * a_kib), (-q, i_kib))),
+        ("thm.psiequations.4", "psi (a^-1 I - a B^-1 K) = q (I - B^-1 K)",
+         lambda: combine((1, psi * a_bik), (-q, i_bik))),
+        ("thm.KBquad", "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
+         lambda: combine((a, KK), (-c1q, KB), (-c2q, BK), (ai, BB))),
+        ("thm.KBinvquad", "a B^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a^-1 K^-2 = 0",
+         lambda: combine((a, BiBi), (-c1q, KiBi), (-c2q, BiKi), (ai, KiKi))),
+        ("lem.KBfactor.1", "q (K - B)(aK - a^-1 B) = q^-1 (aK - a^-1 B)(K - B)",
+         lambda: combine((q * a, KK), (-q * ai, KB), (-q * a, BK), (q * ai, BB),
+                         (-qi * a, KK), (qi * a, KB), (qi * ai, BK), (-qi * ai, BB))),
+        ("lem.KBfactor.2",
+         "q (a^-1 K^-1 - a B^-1)(K^-1 - B^-1) = q^-1 (K^-1 - B^-1)(a^-1 K^-1 - a B^-1)",
+         lambda: combine((q * ai, KiKi), (-q * ai, KiBi), (-q * a, BiKi), (q * a, BiBi),
+                         (-qi * ai, KiKi), (qi * a, KiBi), (qi * ai, BiKi), (-qi * a, BiBi))),
+        ("lem.KBfactor.3",
+         "q (I - K^-1 B)(aI - a^-1 BK^-1) = q^-1 (aI - a^-1 K^-1 B)(I - BK^-1)",
+         lambda: combine((q, i_kib * a_bk), (-qi, a_kib * i_bk))),
+        ("lem.KBfactor.4",
+         "q (a^-1 I - a KB^-1)(I - B^-1 K) = q^-1 (I - KB^-1)(a^-1 I - a B^-1 K)",
+         lambda: combine((q, a_kb * i_bik), (-qi, i_kb * a_bik))),
+        ("lem.KKBB1.1", "B = a^2 K + (1 - a^2) K sum a^-i q^-i psi^i",
+         lambda: combine((1, B), (-a * a, K), (a * a - 1, k_geo))),
+        ("lem.KKBB1.2", "B^-1 = a^-2 K^-1 + (1 - a^-2) K^-1 sum a^i q^i psi^i",
+         lambda: combine((1, Bi), (-ai * ai, Ki), (ai * ai - 1, ki_geo))),
+        ("lem.KKBB1.3", "Rdd = R + (a - a^-1) sum (a^-i q^-i K - a^i q^i K^-1) psi^i",
+         lambda: combine((1, Rdd), (-1, R), (ai - a, k_geo), (a - ai, ki_geo))),
+        ("lem.KKBB2.1", "K = a^-2 B + (1 - a^-2) B sum a^i q^-i psi^i",
+         lambda: combine((1, K), (-ai * ai, B), (ai * ai - 1, b_geo))),
+        ("lem.KKBB2.2", "K^-1 = a^2 B^-1 + (1 - a^2) B^-1 sum a^-i q^i psi^i",
+         lambda: combine((1, Ki), (-a * a, Bi), (a * a - 1, bi_geo))),
+        ("lem.KKBB2.3", "R = Rdd + (a - a^-1) sum (a^-i q^i B^-1 - a^i q^-i B) psi^i",
+         lambda: combine((1, R), (-1, Rdd), (ai - a, bi_geo), (a - ai, b_geo))),
+        ("eq.A2psi",
+         "A^2 psi - (q^2 + q^-2) A psi A + psi A^2 + (q^2 - q^-2)^2 psi "
+         "= -(q - q^-1)^2 Lambda A + (a + a^-1)(q - q^-1)^2 (q + q^-1) I",
+         lambda: combine((1, A * Apsi), (-w2, Apsi * A), (1, psiA * A),
+                         ((q * q - qi * qi) ** 2, psi), (c2, lamA),
+                         (-(a + ai) * c2 * (q + qi), eye))),
+        ("eq.psi2A",
+         "psi^2 A - (q^2 + q^-2) psi A psi + A psi^2 = -(q - q^-1)^2 Lambda psi",
+         lambda: combine((1, psi2 * A), (-w2, psiA * psi), (1, A * psi2), (c2, lampsi))),
+    ))
+    return report

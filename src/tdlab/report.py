@@ -43,23 +43,49 @@ class CheckResult(Record):
 
 
 class VerificationReport:
-    """Ordered collection of check results, deterministic by check id."""
+    """Check results in the order recorded, written out by check id.
 
-    def __init__(self, entries: Iterable[CheckResult] = ()):
-        self.entries: list[CheckResult] = list(entries)
+    `select`, if given, holds check-id prefixes: `run` then evaluates only
+    the rows whose id equals one of them or begins with one followed by '.'.
+    """
+
+    def __init__(self, select: Iterable[str] | None = None):
+        self.entries: list[CheckResult] = []
+        self.select = None if select is None else tuple(select)
 
     def add(self, result: CheckResult) -> None:
         self.entries.append(result)
 
-    def check(self, check_id: str, anchor: str, residual: Matrix) -> None:
-        """Record an exact zero test of `residual` under `check_id`."""
-        ok = residual.is_zero()
-        self.add(CheckResult(check_id, anchor, ok, None if ok else residual))
+    def selects(self, check_id: str) -> bool:
+        """Whether the check `check_id` is selected."""
+        return self.select is None or any(
+            check_id == p or check_id.startswith(p + ".") for p in self.select)
 
-    def record(self, check_id: str, anchor: str, ok: bool, witness=None, note=""):
-        if ok:
-            witness, note = None, ""
-        self.add(CheckResult(check_id, anchor, ok, witness, note))
+    def reaches(self, prefix: str) -> bool:
+        """Whether some check whose id begins with `prefix.` may be selected."""
+        return self.selects(prefix) or any(p.startswith(prefix + ".") for p in self.select)
+
+    def run(self, rows: Iterable[tuple]) -> None:
+        """Record each selected row (check_id, anchor, items) of a table;
+        `items()` is called only for a selected row."""
+        for check_id, anchor, items in rows:
+            if self.selects(check_id):
+                self.record(check_id, anchor, items())
+
+    def record(self, check_id: str, anchor: str, items, note: str = "") -> None:
+        """Record one check from its items, taken in order.
+
+        A Matrix item is a residual that passes when zero; an (ok, witness)
+        pair passes by its flag.  `items` is one Matrix or an iterable of
+        items.  The first failing item ends the check and is its witness,
+        and `note` is kept with it.
+        """
+        for item in (items,) if isinstance(items, Matrix) else items:
+            ok, witness = (item.is_zero(), item) if isinstance(item, Matrix) else item
+            if not ok:
+                self.add(CheckResult(check_id, anchor, False, witness, note))
+                return
+        self.add(CheckResult(check_id, anchor, True))
 
     @property
     def all_passed(self) -> bool:
@@ -75,20 +101,7 @@ class VerificationReport:
     def __iter__(self):
         return iter(self.entries)
 
-    def subset(self, check_ids: Iterable[str]) -> "VerificationReport":
-        """Entries whose check_id equals or starts with one of the names."""
-        names = list(check_ids)
-        return VerificationReport(
-            e
-            for e in self.entries
-            if any(e.check_id == n or e.check_id.startswith(n + ".") for n in names)
-        )
-
-    def sorted(self) -> "VerificationReport":
-        return VerificationReport(sorted(self.entries, key=lambda e: e.check_id))
-
     def to_json_lines(self) -> str:
         """One JSON record per check, ordered by check id."""
-        return "\n".join(
-            json.dumps(e.to_record(), sort_keys=True) for e in self.sorted()
-        )
+        return "\n".join(json.dumps(e.to_record(), sort_keys=True)
+                         for e in sorted(self.entries, key=lambda e: e.check_id))

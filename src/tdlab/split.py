@@ -22,7 +22,7 @@ from .linalg import (
     sum_of,
 )
 from .record import Record, setfield
-from .report import CheckResult, ConsistencyError
+from .report import ConsistencyError
 from .tdsystem import TDSystemInstance
 
 
@@ -159,12 +159,6 @@ class SplitApparatus(Record):
         return tuple(sum_of([self.cells[(i, j)].space for j in range(i, d - i + 1)], n)
                      for i in range(len(self.Kspaces)))
 
-    def cell(self, i: int, j: int) -> Cell:
-        return self.cells[(i, j)]
-
-    def mk_space(self, i: int) -> Subspace:
-        return self.MK[i]
-
 
 def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> dict:
     """Cells (i, j) -> image of K_i under the factored polynomial tau_ij(A).
@@ -221,24 +215,16 @@ def build_apparatus(sys: TDSystemInstance) -> SplitApparatus:
     return apparatus
 
 
-def verify_minpoly_on_MKi(
-    sys: TDSystemInstance, apparatus: SplitApparatus, i: int
-) -> CheckResult:
-    """tau_{i, d-i+1} annihilates MK_i (one factor at a time) while
-    tau_{i, d-i} does not kill K_i (the image of cell (i, d-i))."""
+def verify_minpoly_on_MKi(sys: TDSystemInstance, apparatus: SplitApparatus, i: int) -> tuple:
+    """The items of check lem.minpoly.MK{i}: tau_{i, d-i+1} annihilates MK_i
+    (applied one factor at a time), and tau_{i, d-i} does not kill K_i (the
+    image of cell (i, d-i) is nonzero).  The product is the witness of both."""
     theta = sys.eig.eigenvalues
     d = sys.d
     if apparatus.Kspaces[i].is_zero():
         raise ValueError(f"K_{i} is zero")
     eye = Matrix.identity(sys.dim)
-    killed = apparatus.mk_space(i).basis
+    killed = apparatus.MK[i].basis
     for t in theta[i : d - i + 1]:
         killed = combine((1, sys.A), (-t, eye)) * killed
-    survives = not apparatus.cell(i, d - i).image.is_zero()
-    ok = killed.is_zero() and survives
-    return CheckResult(
-        f"lem.minpoly.MK{i}",
-        "minimal polynomial of A on MK_i is the factored product of length d-2i+1",
-        ok,
-        None if ok else killed,
-    )
+    return killed, (not apparatus.cells[(i, d - i)].image.is_zero(), killed)

@@ -215,7 +215,7 @@ def verify_td_axioms(
     for check_id, name, data in (("axiom.i.A", "A", eig),
                                  ("axiom.i.Astar", "A*", eigstar)):
         span = sum(s.dim for s in data.eigenspaces)
-        report.record(check_id, f"diagonalizability of {name}", span == n,
+        report.record(check_id, f"diagonalizability of {name}", [(span == n, None)],
                       note=f"eigenspaces span {span} of {n} dimensions")
 
     for check_id, anchor, op, idems, block in (
@@ -225,12 +225,8 @@ def verify_td_axioms(
          a, eigstar.idempotents, "E*_{1} A E*_{0} != 0"),
     ):
         ok, pair = _tridiagonal_ok(op, idems)
-        if ok:
-            report.record(check_id, anchor, True)
-        else:
-            i, j = pair
-            report.record(check_id, anchor, False, idems[j] * op * idems[i],
-                          block.format(i, j))
+        witness = None if ok else idems[pair[1]] * op * idems[pair[0]]
+        report.record(check_id, anchor, [(ok, witness)], "" if ok else block.format(*pair))
 
     if report.all_passed:
         e0, rho0 = eig.idempotents[0], eig.eigenspaces[0].dim
@@ -242,7 +238,7 @@ def verify_td_axioms(
             ok = col == row == n
             note = f"spins from E_0 reach {col} in V and {row} in V*, of {n}"
         report.record("axiom.iv", "no common invariant subspace (Norton's test)",
-                      ok, note=note)
+                      [(ok, None)], note=note)
     return report
 
 

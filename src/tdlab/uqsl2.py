@@ -54,36 +54,33 @@ def casimir_of(action: UqAction) -> Matrix:
     )
 
 
-def verify_uq_relations(action: UqAction) -> VerificationReport:
-    """Exact check of the defining relations plus their cubic consequences."""
-    rep = VerificationReport()
+def verify_uq_relations(
+    action: UqAction, prefix: str = "uq", report: VerificationReport | None = None
+) -> VerificationReport:
+    """Exact check of the defining relations plus their cubic consequences,
+    recorded under `prefix` into `report` (a new one if not given)."""
+    report = VerificationReport() if report is None else report
     e, f, k, kinv, q = action.e, action.f, action.k, action.kinv, action.q
     eye = Matrix.identity(action.dim)
     qi = 1 / q
-    ef, fe = e * f, f * e
-    rep.check("uq.kkinv", "k k^-1 = k^-1 k = I",
-              combine((1, k * kinv), (1, kinv * k), (-2, eye)))
-    rep.check("uq.kek", "k e k^-1 = q^2 e", combine((1, k * e * kinv), (-q * q, e)))
-    rep.check("uq.kfk", "k f k^-1 = q^-2 f", combine((1, k * f * kinv), (-qi * qi, f)))
     c = 1 / (q - qi)
-    rep.check(
-        "uq.ef",
-        "ef - fe = (k - k^-1) / (q - q^-1)",
-        combine((1, ef), (-1, fe), (-c, k), (c, kinv)),
-    )
-    lam = casimir_of(action)
     w = q * q + qi * qi
-    rep.check(
-        "uq.f2e",
-        "f^2 e - (q^2 + q^-2) fef + ef^2 = -Lambda f",
-        combine((1, f * fe), (-w, fe * f), (1, ef * f), (1, lam * f)),
-    )
-    rep.check(
-        "uq.e2f",
-        "e^2 f - (q^2 + q^-2) efe + fe^2 = -Lambda e",
-        combine((1, e * ef), (-w, ef * e), (1, fe * e), (1, lam * e)),
-    )
-    return rep
+    ef, fe = e * f, f * e
+    lam = casimir_of(action)
+    report.run((
+        (f"{prefix}.kkinv", "k k^-1 = k^-1 k = I",
+         lambda: combine((1, k * kinv), (1, kinv * k), (-2, eye))),
+        (f"{prefix}.kek", "k e k^-1 = q^2 e", lambda: combine((1, k * e * kinv), (-q * q, e))),
+        (f"{prefix}.kfk", "k f k^-1 = q^-2 f",
+         lambda: combine((1, k * f * kinv), (-qi * qi, f))),
+        (f"{prefix}.ef", "ef - fe = (k - k^-1) / (q - q^-1)",
+         lambda: combine((1, ef), (-1, fe), (-c, k), (c, kinv))),
+        (f"{prefix}.f2e", "f^2 e - (q^2 + q^-2) fef + ef^2 = -Lambda f",
+         lambda: combine((1, f * fe), (-w, fe * f), (1, ef * f), (1, lam * f))),
+        (f"{prefix}.e2f", "e^2 f - (q^2 + q^-2) efe + fe^2 = -Lambda e",
+         lambda: combine((1, e * ef), (-w, ef * e), (1, fe * e), (1, lam * e))),
+    ))
+    return report
 
 
 class IrreducibleModel(Record):
@@ -207,7 +204,7 @@ def decompose_into_components(
         seed_bases = []
         for col in range(kspace.dim):
             basis = Matrix.from_columns(
-                tuple(x / gammas[j] for x in apparatus.cell(i, i + j).image.col(col))
+                tuple(x / gammas[j] for x in apparatus.cells[(i, i + j)].image.col(col))
                 for j in range(label + 1)
             )
             for name in ("e", "f", "k"):
@@ -219,7 +216,7 @@ def decompose_into_components(
                 i,
                 label,
                 kspace.dim,
-                apparatus.mk_space(i),
+                apparatus.MK[i],
                 tuple(seed_bases),
                 q ** (label + 1) + q ** (-label - 1),
             )

@@ -23,6 +23,11 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
+def column(entries) -> Matrix:
+    """The column vector of `entries`; an empty one has shape (0, 1)."""
+    return Matrix.from_columns([entries]) if len(entries) else Matrix.zeros(0, 1)
+
+
 def span(n, *vectors) -> Subspace:
     """The subspace of Q^n spanned by the given vectors."""
     return Subspace.from_columns(n, Matrix.from_columns(vectors))

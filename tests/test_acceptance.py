@@ -114,7 +114,7 @@ def test_criterion_4_casimir_agreement(bundles):
             if kspace.is_zero():
                 continue
             scalar = q ** (d - 2 * i + 1) + q ** (2 * i - d - 1)
-            mk = apparatus.mk_space(i)
+            mk = apparatus.MK[i]
             ok = ok and ((ops.Lambda - scalar * eye) * mk.basis).is_zero()
     ok = ok and bundles[1].ops.Lambda == F(17, 4) * Matrix.identity(2)
     announce(4, "one Casimir action from both module structures, scalar per block", ok)
@@ -126,7 +126,7 @@ def test_criterion_5_decomposition(bundles):
         sys, apparatus, ops = b.sys, b.apparatus, b.ops
         n, d, q = sys.dim, sys.d, sys.params.q
         blocks = [
-            apparatus.mk_space(i)
+            apparatus.MK[i]
             for i, k in enumerate(apparatus.Kspaces)
             if not k.is_zero()
         ]

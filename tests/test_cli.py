@@ -101,6 +101,23 @@ class TestVerify:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["check_id"] for r in records] == ["thm.KBquad"]
 
+    def test_unselected_checks_are_not_evaluated(self, tmp_path, monkeypatch, capsys):
+        """The module structures and the MK_i rows are neither built nor
+        checked when the selection takes none of their ids."""
+        def unselected(*args, **kwargs):
+            raise RuntimeError("evaluated a check that was not selected")
+
+        for name in ("verify_minpoly_on_MKi", "verify_uq_relations",
+                     "first_structure", "second_structure"):
+            monkeypatch.setattr(suite, name, unselected)
+        path = tmp_path / "w2.json"
+        forge.export_instance(forge.fixture(2), path)
+        code = cli.main(["verify", "--instance", str(path), "--suite", "thm.KBquad"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert records == [{"anchor": "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
+                            "check_id": "thm.KBquad", "pass": True}]
+
     def test_empty_suite_selection(self, w1_file, capsys):
         code = cli.main(["verify", "--instance", w1_file, "--suite", ","])
         assert code == 0
@@ -118,7 +135,7 @@ class TestVerify:
         assert code == 2
 
     def test_check_failure_exit_1(self, w1_file, monkeypatch, capsys):
-        def fake_suite(instance):
+        def fake_suite(instance, select=None):
             rep = VerificationReport()
             rep.add(CheckResult("fake.check", "forced failure", False, Matrix([["1"]])))
             return rep

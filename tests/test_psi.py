@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import replace
+from helpers import column, replace
 from tdlab import forge, psi
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import (
@@ -41,8 +41,8 @@ def test_w1_R(w1_ops):
 
 
 def test_w1_R_raises_and_kills(w1_ops):
-    assert w1_ops.R.apply((1, 0)) == (F(0), F(1))
-    assert w1_ops.R.apply((0, 1)) == (F(0), F(0))
+    assert w1_ops.R * column((1, 0)) == column((0, 1))
+    assert (w1_ops.R * column((0, 1))).is_zero()
 
 
 def test_Rdiff(w1, w1_app, w1_ops):

@@ -126,14 +126,14 @@ def test_Ki_is_intersection(any_sys, any_app):
 
 
 def test_w1_cells(w1_app):
-    assert w1_app.cell(0, 0).space == span(2, (1, 0))
-    assert w1_app.cell(0, 1).space == span(2, (0, 1))
+    assert w1_app.cells[(0, 0)].space == span(2, (1, 0))
+    assert w1_app.cells[(0, 1)].space == span(2, (0, 1))
 
 
 def test_cell_diagonal_is_Ki(any_app):
     for i, k in enumerate(any_app.Kspaces):
         if not k.is_zero():
-            assert any_app.cell(i, i).space == k
+            assert any_app.cells[(i, i)].space == k
 
 
 def test_cells_decompose_v(any_sys, any_app):
@@ -155,13 +155,14 @@ def test_KUdd(any_sys, any_app):
 def test_minpoly_on_MKi(any_sys, any_app):
     for i, k in enumerate(any_app.Kspaces):
         if not k.is_zero():
-            assert verify_minpoly_on_MKi(any_sys, any_app, i).passed
+            killed, (survives, _) = verify_minpoly_on_MKi(any_sys, any_app, i)
+            assert killed.is_zero() and survives
 
 
 def test_MKi_decompose_v_and_A_invariant(any_sys, any_app):
     n = any_sys.dim
     parts = [
-        any_app.mk_space(i)
+        any_app.MK[i]
         for i, k in enumerate(any_app.Kspaces)
         if not k.is_zero()
     ]
@@ -173,9 +174,9 @@ def test_MKi_decompose_v_and_A_invariant(any_sys, any_app):
 
 def test_w1_minpoly_is_characteristic(w1, w1_app):
     # at d = 1 the length-2 factored product annihilates all of V
-    entry = verify_minpoly_on_MKi(w1, w1_app, 0)
-    assert entry.passed
-    assert w1_app.mk_space(0) == whole(2)
+    killed, (survives, _) = verify_minpoly_on_MKi(w1, w1_app, 0)
+    assert killed.is_zero() and survives
+    assert w1_app.MK[0] == whole(2)
 
 
 def test_compute_K_spaces_retains_zero_spaces():
