@@ -25,7 +25,7 @@ from .tdsystem import (
 
 
 # The largest diameter the command line accepts: generate plus verify of
-# a Leonard pair takes about 15 s at d = 32, and twice that for each 4
+# a Leonard pair takes about 5.5 s at d = 32, and twice that for each 4
 # added to d (timings in the README).  The library takes any d.
 MAX_DIAMETER = 32
 

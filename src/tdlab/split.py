@@ -15,7 +15,6 @@ from functools import cached_property
 from .linalg import (
     Matrix,
     Subspace,
-    combine,
     is_direct_sum,
     subspace_intersect,
     subspace_sum,
@@ -168,8 +167,7 @@ def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> di
     V; each cell has the dimension of its seed K_i.
     """
     d, n = sys.d, sys.dim
-    eye = Matrix.identity(n)
-    factors = [combine((1, sys.A), (-t, eye)) for t in sys.eig.eigenvalues[:d]]
+    factors = sys.eig.factors
     cells = {}
     for i, k in enumerate(kspaces):
         image, space = k.basis, k
@@ -219,12 +217,10 @@ def verify_minpoly_on_MKi(sys: TDSystemInstance, apparatus: SplitApparatus, i: i
     """The items of check lem.minpoly.MK{i}: tau_{i, d-i+1} annihilates MK_i
     (applied one factor at a time), and tau_{i, d-i} does not kill K_i (the
     image of cell (i, d-i) is nonzero).  The product is the witness of both."""
-    theta = sys.eig.eigenvalues
     d = sys.d
     if apparatus.Kspaces[i].is_zero():
         raise ValueError(f"K_{i} is zero")
-    eye = Matrix.identity(sys.dim)
     killed = apparatus.MK[i].basis
-    for t in theta[i : d - i + 1]:
-        killed = combine((1, sys.A), (-t, eye)) * killed
+    for f in sys.eig.factors[i : d - i + 1]:
+        killed = f * killed
     return killed, (not apparatus.cells[(i, d - i)].image.is_zero(), killed)

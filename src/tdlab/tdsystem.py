@@ -1,8 +1,8 @@
 """Tridiagonal systems of q-Racah type as exact rational matrices.
 
 A validated instance carries the pair (A, A*), the q-Racah parameter
-quadruple (d, q, a, b), and the eigendata (eigenvalues, eigenspaces,
-primitive idempotents) of both matrices in their standard orderings.
+quadruple (d, q, a, b), and the eigendata (eigenvalues, eigenspaces and the
+factors m - theta_i I) of both matrices in their standard orderings.
 
 Validation builds the eigendata once, in the q-Racah ordering, and
 requires every eigenspace E_i V and E*_i V to be nonzero; it then checks
@@ -14,19 +14,29 @@ standard ordering and its reversal are tridiagonal; dually for A on the
 E*_i.  Without the nonzero premise the argument fails: with E_0 = 0, the
 ordering (1, ..., d, 0) is tridiagonal as well.
 
+No idempotent E_i is formed.  Axiom (ii) is tested in polynomial form:
+(A - theta_{i-1} I)(A - theta_i I)(A - theta_{i+1} I) A* B_i = 0 for each
+i, with B_i a basis of E_i V and the out-of-range factors dropped.  This is
+exact because A is diagonalizable: the product scales the E_k V part of a
+vector by prod (theta_k - theta_l) over the three l, which vanishes only
+for |k - i| <= 1.  Axiom (iii) is the dual.  Each test is a few products
+of an n x n matrix with an n x rho_i one.
+
 Axiom (iv) is Norton's irreducibility test from the MeatAxe (Parker 1984;
 Holt and Rees, J. Austral. Math. Soc. 1994) for theta = A - theta_0 I:
-ker theta = E_0 V, and the rows of E_0 span the w with w theta = 0.  A
-proper invariant W != 0 meets ker theta, and a spin from there stays in W,
-or else theta V contains W, so each such w and its spin vanish on W.  So V
-is irreducible when rho_0 = dim E_0 V = 1, E_0 V spins to V under A and A*,
-and the rows of E_0 spin to all rows under right multiplication.  No
-dimension changes over the algebraic closure, so V is irreducible there
-too: by Burnside's theorem, the word closure of A and A* has dimension n^2.
-Conversely, such a V spins from any nonzero vector.  With rho_0 > 1 the
-pair is refused at once: irreducible over the algebraic closure, it would
-be a TD pair there, hence sharp, rho_0 = 1 (Nomura and Terwilliger, Linear
-Algebra Appl. 2008); so its word closure is below n^2 as well.
+ker theta = E_0 V, and the left kernel of theta is the set of w with
+w theta = 0.  A proper invariant W != 0 meets ker theta, and a spin from
+there stays in W, or else theta V contains W, so each such w and its spin
+vanish on W.  So V is irreducible when rho_0 = dim E_0 V = 1, E_0 V spins
+to V under A and A*, and the left kernel of theta spins to all rows under
+right multiplication.  (With rho_0 = 1 that left kernel is the row space of
+E_0: both are lines, and E_0 theta = 0.)  No dimension changes over the
+algebraic closure, so V is irreducible there too: by Burnside's theorem,
+the word closure of A and A* has dimension n^2.  Conversely, such a V
+spins from any nonzero vector.  With rho_0 > 1 the pair is refused at
+once: irreducible over the algebraic closure, it would be a TD pair there,
+hence sharp, rho_0 = 1 (Nomura and Terwilliger, Linear Algebra Appl.
+2008); so its word closure is below n^2 as well.
 """
 
 from __future__ import annotations
@@ -102,37 +112,34 @@ def qracah_eigenvalues(params: QRacahParams) -> tuple:
 
 
 class EigenData(Record):
-    __slots__ = _fields = ("eigenvalues", "eigenspaces", "idempotents")
+    __slots__ = _fields = ("eigenvalues", "eigenspaces", "factors")
 
-    def __init__(self, eigenvalues: tuple, eigenspaces: tuple, idempotents: tuple):
+    def __init__(self, eigenvalues: tuple, eigenspaces: tuple, factors: tuple):
         setfield(self, "eigenvalues", eigenvalues)
         setfield(self, "eigenspaces", eigenspaces)
-        setfield(self, "idempotents", idempotents)
+        setfield(self, "factors", factors)
 
     def reversed(self) -> "EigenData":
         return EigenData(
             tuple(reversed(self.eigenvalues)),
             tuple(reversed(self.eigenspaces)),
-            tuple(reversed(self.idempotents)),
+            tuple(reversed(self.factors)),
         )
 
 
 def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
-    """Eigenspaces and primitive idempotents of m for the given spectrum.
+    """Eigenspaces of m for the given spectrum, with the factors m - theta_i I.
 
-    Eigenspaces come from exact kernels of (m - theta I); idempotents from
-    the Lagrange product formula.  Raises when some eigenvalue has no
-    eigenvector or the eigenspace dimensions do not sum to the ambient
-    dimension.
+    Eigenspaces come from exact kernels of the factors.  Raises when some
+    eigenvalue has no eigenvector or the eigenspace dimensions do not sum
+    to the ambient dimension.
 
     Nothing else needs checking: eigenspaces of distinct eigenvalues are
     independent, so when their dimensions sum to n, m is diagonalizable and
-    prod_j (m - theta_j I) = 0.  Then each E_i is killed by m - theta_i I
-    and is the identity on its kernel, so E_i V is the eigenspace,
-    m E_i = theta_i E_i and E_i E_j = 0 for i != j; the polynomial
-    identities sum_i L_i(x) = 1 and sum_i theta_i L_i(x) = x give
-    sum_i E_i = I, hence E_i^2 = E_i, and sum_i theta_i E_i = m, all exactly.
-    Tests keep these identities as an oracle.
+    V is the direct sum of the E_i V.  Then a vector x lies in the sum of
+    the E_k V over k in S exactly when prod_{k in S} (m - theta_k I) x = 0,
+    since the product scales the E_l V part of x by
+    prod_{k in S} (theta_l - theta_k), which vanishes only for l in S.
     """
     if not m.is_square():
         raise ValueError("matrix must be square")
@@ -141,7 +148,7 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
         raise ValueError("eigenvalues must be mutually distinct")
     n = m.rows
     eye = Matrix.identity(n)
-    factors = [combine((1, m), (-t, eye)) for t in evs]
+    factors = tuple(combine((1, m), (-t, eye)) for t in evs)
 
     spaces = []
     for t, f in zip(evs, factors):
@@ -150,19 +157,7 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
             raise NotDiagonalizableError(f"{t} is not an eigenvalue")
     if sum(s.dim for s in spaces) != n:
         raise NotDiagonalizableError("not diagonalizable with the given spectrum")
-
-    # E_i = prod_{j != i} (m - t_j I) / (t_i - t_j): the factors commute, so
-    # E_i is the product of the factors before i and of those after it.
-    before, after = [eye], [eye]
-    for f, g in zip(factors[:-1], reversed(factors[1:])):
-        before.append(before[-1] * f)
-        after.append(g * after[-1])
-    idempotents = [
-        lo * hi * (1 / prod(ti - tj for tj in evs if tj != ti))
-        for ti, lo, hi in zip(evs, before, reversed(after))
-    ]
-
-    return EigenData(evs, tuple(spaces), tuple(idempotents))
+    return EigenData(evs, tuple(spaces), factors)
 
 
 class TDSystemInstance(Record):
@@ -185,20 +180,32 @@ class TDSystemInstance(Record):
         return self.params.d
 
 
-def _tridiagonal_ok(op: Matrix, idempotents: Sequence[Matrix]) -> tuple:
-    """Check E_j op E_i = 0 for |i - j| > 1; returns (ok, witness pair).
+def _tridiagonal_failure(op: Matrix, data: EigenData) -> tuple | None:
+    """The first (i, j, E_j op B_i) with |i - j| > 1 and E_j op E_i != 0,
+    where B_i is the basis of E_i V; None when op is block-tridiagonal.
 
-    For idempotents that annihilate each other, E_j (sum_{|k-i|>1} E_k) op E_i
-    = E_j op E_i, so one sum and one product per i decide every j; the
-    witness j is looked for only when i fails.
+    op E_i V lies in E_{i-1} V + E_i V + E_{i+1} V exactly when the product
+    of the factors m - theta_k I, k = i - 1, i, i + 1 in range, kills
+    op B_i (see `build_eigendata`).  Only on failure is the first far j
+    looked for: the product of every factor but the j-th maps op B_i to
+    prod_{k != j} (theta_j - theta_k) E_j op B_i.
     """
-    for i, ei in enumerate(idempotents):
-        far = [(1, e) for j, e in enumerate(idempotents) if abs(i - j) > 1]
-        if far and not (combine(*far) * (op_ei := op * ei)).is_zero():
-            j = next(j for j, ej in enumerate(idempotents)
-                     if abs(i - j) > 1 and not (ej * op_ei).is_zero())
-            return False, (i, j)
-    return True, None
+    theta, factors = data.eigenvalues, data.factors
+
+    def apply(x, ks):
+        for k in ks:
+            x = factors[k] * x
+        return x
+
+    for i, space in enumerate(data.eigenspaces):
+        near = range(max(i - 1, 0), min(i + 2, len(theta)))
+        x = apply(op * space.basis, near)
+        if not x.is_zero():
+            far = [k for k in range(len(theta)) if k not in near]
+            j, y = next((j, y) for j in far
+                        if not (y := apply(x, [k for k in far if k != j])).is_zero())
+            return i, j, y * (1 / prod(theta[j] - t for t in theta if t != theta[j]))
+    return None
 
 
 def verify_td_axioms(
@@ -218,23 +225,28 @@ def verify_td_axioms(
         report.record(check_id, f"diagonalizability of {name}", [(span == n, None)],
                       note=f"eigenspaces span {span} of {n} dimensions")
 
-    for check_id, anchor, op, idems, block in (
+    for check_id, anchor, op, data, block in (
         ("axiom.ii", "A* acts block-tridiagonally on the A-eigenspace ordering",
-         astar, eig.idempotents, "E_{1} A* E_{0} != 0"),
+         astar, eig, "E_{1} A* E_{0} != 0"),
         ("axiom.iii", "A acts block-tridiagonally on the A*-eigenspace ordering",
-         a, eigstar.idempotents, "E*_{1} A E*_{0} != 0"),
+         a, eigstar, "E*_{1} A E*_{0} != 0"),
     ):
-        ok, pair = _tridiagonal_ok(op, idems)
-        witness = None if ok else idems[pair[1]] * op * idems[pair[0]]
-        report.record(check_id, anchor, [(ok, witness)], "" if ok else block.format(*pair))
+        failure = _tridiagonal_failure(op, data)
+        if failure is None:
+            report.record(check_id, anchor, [(True, None)])
+        else:
+            i, j, witness = failure
+            report.record(check_id, anchor, [(False, witness)], block.format(i, j))
 
     if report.all_passed:
-        e0, rho0 = eig.idempotents[0], eig.eigenspaces[0].dim
+        rho0 = eig.eigenspaces[0].dim
         if rho0 > 1:
             ok, note = False, f"rho_0 = dim E_0 V = {rho0} > 1"
         else:
-            col = spin_dim(e0.transpose(), (a.transpose(), astar.transpose()))
-            row = spin_dim(e0, (a, astar))
+            # E_0 V and the w with w (A - theta_0 I) = 0, as rows.
+            col = spin_dim(eig.eigenspaces[0].basis.transpose(),
+                           (a.transpose(), astar.transpose()))
+            row = spin_dim(eig.factors[0].transpose().kernel().transpose(), (a, astar))
             ok = col == row == n
             note = f"spins from E_0 reach {col} in V and {row} in V*, of {n}"
         report.record("axiom.iv", "no common invariant subspace (Norton's test)",

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import importlib.util
+from math import prod
 from pathlib import Path
 
 from tdlab.linalg import Matrix, Subspace, rat
@@ -47,3 +48,21 @@ def eval_factored_poly(a: Matrix, roots) -> Matrix:
     for r in roots:
         result = result * (a - rat(r) * eye)
     return result
+
+
+def idempotents(m: Matrix, eigenvalues) -> list:
+    """The primitive idempotents of a diagonalizable m by the Lagrange
+    formula, E_i = prod_{j != i} (m - theta_j I) / (theta_i - theta_j)."""
+    theta = [rat(t) for t in eigenvalues]
+    return [eval_factored_poly(m, others) * (1 / prod(t - s for s in others))
+            for i, t in enumerate(theta) for others in [theta[:i] + theta[i + 1:]]]
+
+
+def tridiagonal_ok(op: Matrix, idems) -> tuple:
+    """Check E_j op E_i = 0 for |i - j| > 1 pair by pair, i before j, for
+    the idempotents `idems`; returns (ok, the first failing pair or None)."""
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
+            if abs(i - j) > 1 and not (ej * op * ei).is_zero():
+                return False, (i, j)
+    return True, None

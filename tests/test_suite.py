@@ -7,7 +7,8 @@ from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
 from tdlab import forge
 from tdlab.linalg import Matrix
-from tdlab.psi import build_operator_set
+from tdlab.psi import TABLE_PREFIXES, build_operator_set, run_identity_suite
+from tdlab.report import VerificationReport
 from tdlab.split import build_apparatus
 from tdlab.suite import full_suite
 
@@ -41,3 +42,23 @@ def test_selection_equals_filtered_full_report(chain, select):
 def test_check_ids_are_unique(chain):
     ids = [e.check_id for e in chain[3]]
     assert len(ids) == len(set(ids))
+
+
+def test_unreached_table_forms_no_products(chain, monkeypatch):
+    """Every id of the identity table begins with one of TABLE_PREFIXES, so
+    a selection that reaches none of them, such as `uq` or none at all,
+    skips the table with its shared products."""
+    sys, app, ops, _ = chain
+    ids = [e.check_id for e in run_identity_suite(sys, app, ops)]
+    assert ids and all(i.split(".")[0] in TABLE_PREFIXES for i in ids)
+    built = []
+    original = Matrix._of.__func__
+
+    def counted(cls, *args):
+        built.append(1)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Matrix, "_of", classmethod(counted))
+    for select in (["uq"], []):
+        assert len(run_identity_suite(sys, app, ops, VerificationReport(select))) == 0
+    assert not built

@@ -1,9 +1,8 @@
 from fractions import Fraction
 from itertools import permutations
-from math import prod
 
 import pytest
-from helpers import eval_factored_poly, span
+from helpers import idempotents, span, tridiagonal_ok
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
 from tdlab import forge, linalg, tdsystem
@@ -19,7 +18,6 @@ from tdlab.tdsystem import (
     qracah_eigenvalues,
     second_inversion,
     verify_td_axioms,
-    _tridiagonal_ok,
 )
 
 F = Fraction
@@ -141,8 +139,10 @@ class TestEigenvalues:
 class TestEigendata:
     def test_diagonal(self):
         data = build_eigendata(Matrix.diagonal([2, 3]), [2, 3])
-        assert data.idempotents[0] == Matrix.diagonal([1, 0])
-        assert data.idempotents[1] == Matrix.diagonal([0, 1])
+        assert data.eigenspaces == (span(2, (1, 0)), span(2, (0, 1)))
+        assert data.factors == (Matrix.diagonal([0, 1]), Matrix.diagonal([-1, 0]))
+        assert idempotents(Matrix.diagonal([2, 3]), [2, 3]) == [
+            Matrix.diagonal([1, 0]), Matrix.diagonal([0, 1])]
 
     def test_w1_eigenline(self):
         w1 = forge.fixture(1)
@@ -159,7 +159,8 @@ class TestEigendata:
             build_eigendata(Matrix.diagonal([2, 2]), [2, 3])
 
     def test_invariants(self):
-        """The identities the Lagrange construction gives (build_eigendata)."""
+        """The factors of build_eigendata, and the identities of the
+        Lagrange idempotents over its eigenspaces."""
         shape = (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR))
         cases = [forge.fixture(d) for d in (1, 2, 3)] + [
             second_inversion(forge.fixture(3)),
@@ -169,10 +170,12 @@ class TestEigendata:
         for sys in cases:
             n = sys.dim
             for m, data in ((sys.A, sys.eig), (sys.Astar, sys.eigstar)):
+                idems = idempotents(m, data.eigenvalues)
                 total = Matrix.zeros(n, n)
                 recon = Matrix.zeros(n, n)
-                for i, (t, e) in enumerate(zip(data.eigenvalues, data.idempotents)):
-                    for j, e2 in enumerate(data.idempotents):
+                for i, (t, e) in enumerate(zip(data.eigenvalues, idems)):
+                    assert data.factors[i] == m - t * Matrix.identity(n)
+                    for j, e2 in enumerate(idems):
                         assert e * e2 == (e if i == j else Matrix.zeros(n, n))
                     assert m * e == t * e
                     assert Subspace.from_columns(n, e) == data.eigenspaces[i]
@@ -203,7 +206,7 @@ class TestAxioms:
         swapped = EigenData(
             tuple(e.eigenvalues[p] for p in (1, 0, 2)),
             tuple(e.eigenspaces[p] for p in (1, 0, 2)),
-            tuple(e.idempotents[p] for p in (1, 0, 2)),
+            tuple(e.factors[p] for p in (1, 0, 2)),
         )
         report = verify_td_axioms(sys2.A, sys2.Astar, swapped, sys2.eigstar)
         assert "axiom.ii" in {e.check_id for e in report.failures}
@@ -222,10 +225,10 @@ class TestAxioms:
     def test_order_sensitivity(self):
         # permuting a standard ordering by a non-reversal breaks tridiagonality
         sys2 = forge.fixture(2)
-        idems = sys2.eig.idempotents
+        idems = idempotents(sys2.A, sys2.eig.eigenvalues)
         swapped = (idems[1], idems[0], idems[2])
-        assert _tridiagonal_ok(sys2.Astar, idems)[0]
-        assert not _tridiagonal_ok(sys2.Astar, swapped)[0]
+        assert tridiagonal_ok(sys2.Astar, idems)[0]
+        assert not tridiagonal_ok(sys2.Astar, swapped)[0]
 
 
 class TestFailureMessages:
@@ -316,6 +319,74 @@ def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
     assert max(widths) == n
 
 
+def test_validation_multiplies_no_two_square_matrices(monkeypatch):
+    """Validation of a d = 16 Leonard pair forms no product of two n x n
+    matrices, and all its products cost at most 16 n^3 multiplications.
+
+    Lagrange idempotents and far sums of them took 166 square products
+    and about 170 n^3; the polynomial form of (ii)/(iii) takes about 12 n^3.
+    """
+    candidate, p = _leonard_candidate(16)
+    n, shapes = candidate[0].rows, []
+    original = Matrix._matmul
+
+    def counted(x, y):
+        shapes.append((x.rows, x.cols, y.cols))
+        return original(x, y)
+
+    monkeypatch.setattr(Matrix, "_matmul", counted)
+    assert forge.validate(candidate, p).dim == n
+    assert (n, n, n) not in shapes
+    assert sum(r * k * c for r, k, c in shapes) <= 16 * n**3
+
+
+def _off_line_candidates():
+    """Split-form candidates at d = 2..5 with one entry of the Leonard phi
+    line moved off it, in the standard A-ordering and its reversal."""
+    for d in range(2, 6):
+        p = params(d)
+        phi = forge.leonard_phi(p)
+        for k in range(d):
+            moved = phi[:k] + (phi[k] + 1,) + phi[k + 1:]
+            candidate = forge.build_split_form(forge.SplitFormSpec(p, moved))
+            yield candidate, p
+            yield candidate, p.inverted_a()
+
+
+def test_tridiagonality_agrees_with_idempotent_oracle(oracle_inputs):
+    """Axioms (ii)/(iii) give the verdict and first pair (i, j) of the
+    pairwise test on Lagrange idempotents, with E_j op B_i as the witness.
+
+    The inputs are the oracle inputs, the (1,2,2,1) point, the off-line
+    candidates, and the one-entry bumps of fixture(3) that keep eigendata.
+    """
+    s3 = forge.fixture(3)
+    bumps = [(candidate, s3.params) for i in range(4) for j in range(4)
+             for candidate in ((_bump(s3.A, i, j), s3.Astar), (s3.A, _bump(s3.Astar, i, j)))]
+    cases = oracle_inputs + [SHAPE_1221_FAILS_III] + list(_off_line_candidates()) + bumps
+    failed = set()
+    for (a, astar), p in cases:
+        try:
+            eig, eigstar = find_standard_orderings(a, astar, p)
+        except NotTDSystemError:
+            continue
+        report = {e.check_id: e for e in verify_td_axioms(a, astar, eig, eigstar)}
+        for check_id, op, m, data, note in (
+            ("axiom.ii", astar, a, eig, "E_{j} A* E_{i} != 0"),
+            ("axiom.iii", a, astar, eigstar, "E*_{j} A E*_{i} != 0"),
+        ):
+            idems = idempotents(m, data.eigenvalues)
+            ok, pair = tridiagonal_ok(op, idems)
+            entry = report[check_id]
+            assert entry.passed is ok
+            if not ok:
+                i, j = pair
+                failed.add((check_id, pair))
+                assert entry.note == note.format(i=i, j=j)
+                assert entry.residual == idems[j] * op * data.eigenspaces[i].basis
+    assert len(failed) >= 10, failed
+
+
 # The brute-force ordering scan that validation once ran, kept as an
 # oracle: on a TD system exactly the standard ordering and its reversal
 # are tridiagonal, so validation needs no scan.
@@ -325,12 +396,12 @@ def _identity_and_reversal(n) -> set:
     return {tuple(range(n)), tuple(reversed(range(n)))}
 
 
-def _tridiagonal_orderings(op, idempotents) -> set:
+def _tridiagonal_orderings(op, idems) -> set:
     """Every ordering of the idempotents under which op is block-tridiagonal."""
     return {
         perm
-        for perm in permutations(range(len(idempotents)))
-        if _tridiagonal_ok(op, [idempotents[p] for p in perm])[0]
+        for perm in permutations(range(len(idems)))
+        if tridiagonal_ok(op, [idems[p] for p in perm])[0]
     }
 
 
@@ -359,9 +430,9 @@ def _scan_pipeline(candidate, p):
         eigstar = build_eigendata(astar, theta_star)
     except ValueError as exc:
         raise NotTDSystemError(str(exc)) from exc
-    for op, data in ((astar, eig), (a, eigstar)):
-        n = len(data.idempotents)
-        if _tridiagonal_orderings(op, data.idempotents) != _identity_and_reversal(n):
+    for op, m, data in ((astar, a, eig), (a, astar, eigstar)):
+        idems = idempotents(m, data.eigenvalues)
+        if _tridiagonal_orderings(op, idems) != _identity_and_reversal(len(idems)):
             raise NotTDSystemError("ordering scan")
     if _closure_dim_by_word(a, astar) != a.rows**2:
         raise NotTDSystemError("axiom.iv")
@@ -393,8 +464,8 @@ def test_only_standard_orderings_are_tridiagonal(case, oracle_inputs):
     candidate, p = oracle_inputs[case]
     sys = forge.validate(candidate, p)
     expected = _identity_and_reversal(sys.d + 1)
-    assert _tridiagonal_orderings(sys.Astar, sys.eig.idempotents) == expected
-    assert _tridiagonal_orderings(sys.A, sys.eigstar.idempotents) == expected
+    assert _tridiagonal_orderings(sys.Astar, idempotents(sys.A, sys.eig.eigenvalues)) == expected
+    assert _tridiagonal_orderings(sys.A, idempotents(sys.Astar, sys.eigstar.eigenvalues)) == expected
 
 
 @pytest.mark.parametrize("case", range(VALID_ORACLE_INPUTS + 3))
@@ -425,16 +496,11 @@ def test_empty_eigenspace_fails_validation():
     """
     a, astar = Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)
     p = QRacahParams(3, F(2), F(10), F(10))
-    theta, _ = qracah_eigenvalues(p)
-    idempotents = [
-        eval_factored_poly(a, theta[:i] + theta[i + 1 :])
-        * (1 / prod(theta[i] - t for t in theta[:i] + theta[i + 1 :]))
-        for i in range(4)
-    ]
-    assert idempotents[0].is_zero()
-    assert all(e * e == e for e in idempotents)
-    assert sum(idempotents[1:], idempotents[0]) == Matrix.identity(4)
-    assert (1, 2, 3, 0) in _tridiagonal_orderings(astar, idempotents)
+    idems = idempotents(a, qracah_eigenvalues(p)[0])
+    assert idems[0].is_zero()
+    assert all(e * e == e for e in idems)
+    assert sum(idems[1:], idems[0]) == Matrix.identity(4)
+    assert (1, 2, 3, 0) in _tridiagonal_orderings(astar, idems)
     with pytest.raises(NotTDSystemError, match="is not an eigenvalue"):
         forge.validate((a, astar), p)
 
@@ -447,6 +513,11 @@ class TestSecondInversion:
     def test_reverses_eigenvalues(self):
         w1 = forge.fixture(1)
         assert second_inversion(w1).eig.eigenvalues == (F(13, 6), F(37, 6))
+
+    def test_factors_follow_the_reversed_eigenvalues(self):
+        sys = second_inversion(forge.fixture(3))
+        eye = Matrix.identity(sys.dim)
+        assert sys.eig.factors == tuple(sys.A - t * eye for t in sys.eig.eigenvalues)
 
     def test_inverts_a(self):
         w1 = forge.fixture(1)
