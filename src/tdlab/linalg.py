@@ -14,6 +14,12 @@ gcd, with one division by the pivots at the end.  Subspaces are
 canonicalized by reduced row echelon form so that equal subspaces have
 bit-identical representations; `Subspace.holds` tests columns by one rank
 test, without canonicalizing their span.
+
+`solve_commutant_constraint` solves XR - RX = C with X = 0 on given
+subspaces along the R-orbits p_m = R^m B of their bases B, with no system
+in the n^2 entries of X: any solution has X p_m = y_m for y_0 = 0 and
+y_{m+1} = R y_m + C p_m, so on a basis P of orbits it can only be Y P^-1,
+and it exists exactly when y vanishes where p does.
 """
 
 from __future__ import annotations
@@ -336,25 +342,6 @@ def _kernel_from_echelon(ech: Matrix, pivots: Sequence[int], ncols: int) -> Matr
     return Matrix._of(ncols, len(free), num, ech._d)
 
 
-def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
-    """Solve a x = b for one right-hand-side column.
-
-    Returns (particular, kernel_basis) where particular is a column Matrix
-    and kernel_basis a Matrix whose columns span the solution freedom, or
-    None when the system is inconsistent.  One elimination serves both:
-    the left block of rref(a | b) is rref(a).
-    """
-    if b.cols != 1 or b.rows != a.rows:
-        raise ValueError("right-hand side must be a single column")
-    rank, ech, pivots = rref(a.hstack(b))
-    if a.cols in pivots:
-        return None
-    x = [[0] for _ in range(a.cols)]
-    for r, p in enumerate(pivots):
-        x[p][0] = ech._n[r][a.cols]
-    return Matrix._of(a.cols, 1, x, ech._d), _kernel_from_echelon(ech, pivots, a.cols)
-
-
 class Subspace:
     """A subspace of the ambient column space Q^n.
 
@@ -423,15 +410,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
 
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    s1._check_ambient(s2)
-    if s1.dim == 0:
-        return s2
-    if s2.dim == 0:
-        return s1
-    return Subspace.from_columns(s1.ambient_dim, s1.basis.hstack(s2.basis))
-
-
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection, via the kernel of the stacked generator system.
 
@@ -457,21 +435,14 @@ def sum_of(parts: Sequence[Subspace], ambient_dim: int) -> Subspace:
     return Subspace.from_columns(ambient_dim, Matrix.hstack(*(p.basis for p in nonzero)))
 
 
-def sum_is_direct(parts: Sequence[Subspace], ambient_dim: int) -> bool:
-    """True iff the sum of the parts is direct (not necessarily all of V)."""
-    bases = [p.basis for p in parts if p.dim]
-    if not bases:
-        return True
-    return Matrix.hstack(*bases).rank() == sum(p.dim for p in parts)
-
-
 def is_direct_sum(parts: Sequence[Subspace], ambient_dim: int) -> bool:
     """True iff the parts form a decomposition of the ambient space."""
     if any(p.ambient_dim != ambient_dim for p in parts):
         raise ValueError("ambient dimension mismatch")
-    if sum(p.dim for p in parts) != ambient_dim:
+    bases = [p.basis for p in parts if p.dim]
+    if sum(b.cols for b in bases) != ambient_dim:
         return False
-    return sum_is_direct(parts, ambient_dim)
+    return not bases or Matrix.hstack(*bases).rank() == ambient_dim
 
 
 def spin_dim(start: Matrix, generators: Sequence[Matrix]) -> int:
@@ -495,77 +466,48 @@ def spin_dim(start: Matrix, generators: Sequence[Matrix]) -> int:
     return len(echelon)
 
 
-class AffineSolutions:
-    """Solution set of a linear system in matrix unknowns.
-
-    `solution` is a particular solution (None when the system is
-    inconsistent) and `freedom` the dimension of the homogeneous part.
-    """
-
-    __slots__ = ("solution", "freedom")
-
-    def __init__(self, solution: Matrix | None, freedom: int):
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "freedom", freedom)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSolutions is immutable")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.solution is None
-
-    @property
-    def is_unique(self) -> bool:
-        return self.solution is not None and self.freedom == 0
+_NOT_A_BASIS = "not determined: the R-orbits of the annihilated spaces are not a basis"
 
 
 def solve_commutant_constraint(
     r: Matrix, c: Matrix, annihilated: Sequence[Subspace]
-) -> AffineSolutions:
-    """Solve {XR - RX = C, X|_S = 0 for S in annihilated} for X.
+) -> Matrix:
+    """The X with XR - RX = C and X S = 0 for S in annihilated, read off
+    the R-orbits of the bases B of the S.
 
-    The n^2 unknown entries of X are treated as a dense linear system,
-    built from numerators: the equations for entry (i, j) of XR - RX = C
-    are scaled by the denominators of R and C, and those of X v = 0 by the
-    denominator of v.  The caller is responsible for asserting uniqueness
-    when it is needed.
+    From p_0 = B and y_0 = 0, step p_{m+1} = R p_m, y_{m+1} = R y_m + C p_m
+    until p_{L+1} = 0.  Any solution has X p_m = y_m, as
+    X p_{m+1} = (RX + C) p_m; so if the blocks p_m form a basis P, Y P^-1
+    is the only candidate.  It is a solution exactly when each top
+    condition y_{L+1} = X p_{L+1} = 0 holds: then X B = y_0 = 0, and
+    (XR - RX - C) p_m = y_{m+1} - R y_m - C p_m = 0 on every block, the
+    last of an orbit by its top condition.  Only P, n x n, is eliminated.
+
+    Raises ValueError("inconsistent") when a top condition fails (there is
+    no solution), and ValueError when the orbits are not a basis: more
+    than n columns, or a singular P.
     """
     if not r.is_square() or r.shape != c.shape:
         raise ValueError("R and C must be square matrices of equal size")
     n = r.rows
-    rn, cn = r._n, c._n
-    rs, cs = r._d, c._d
-    rows = []
-    rhs = []
-
-    def unknown(i, k):
-        return i * n + k
-
-    # XR - RX = C, one scalar equation per entry (i, j), times rs * cs.
-    for i in range(n):
-        for j in range(n):
-            coeff = [0] * (n * n)
-            for k in range(n):
-                coeff[unknown(i, k)] += rn[k][j] * cs
-                coeff[unknown(k, j)] -= rn[i][k] * cs
-            rows.append(coeff)
-            rhs.append([cn[i][j] * rs])
-    # X v = 0 for each basis vector of each annihilated subspace.
+    ps, ys, count = [], [], 0
     for space in annihilated:
         if space.ambient_dim != n:
             raise ValueError("annihilated subspace has wrong ambient dimension")
-        for v in zip(*space.basis._n):
-            for i in range(n):
-                coeff = [0] * (n * n)
-                coeff[i * n : (i + 1) * n] = v
-                rows.append(coeff)
-                rhs.append([0])
-
-    system = Matrix._of(len(rows), n * n, rows, 1)
-    solved = solve_linear(system, Matrix._of(len(rhs), 1, rhs, 1))
-    if solved is None:
-        return AffineSolutions(None, 0)
-    particular, ker = solved
-    xn = [[particular._n[unknown(i, k)][0] for k in range(n)] for i in range(n)]
-    return AffineSolutions(Matrix._of(n, n, xn, particular._d), ker.cols)
+        p, y = space.basis, Matrix.zeros(n, space.dim)
+        while not p.is_zero():
+            count += p.cols
+            if count > n:
+                raise ValueError(_NOT_A_BASIS)
+            ps.append(p)
+            ys.append(y)
+            p, y = r * p, r * y + c * p
+        if not y.is_zero():
+            raise ValueError("inconsistent")
+    if count != n:
+        raise ValueError(_NOT_A_BASIS)
+    try:
+        inv = Matrix.hstack(*ps).inverse()
+    except ValueError:  # P is singular
+        raise ValueError(_NOT_A_BASIS) from None
+    return Matrix.hstack(*ys) * inv

@@ -2,8 +2,15 @@
 action, and the exact identity suite relating them to K and B.
 
 psi is constructed twice: once from its action on the refined cells
-(canonical) and once as the unique solution of a linear system (oracle).
-Disagreement between the two is a hard error.
+(canonical) and once as the unique solution X of XR - RX =
+(q - q^-1)(K - K^-1) with X K_i = 0 (oracle).  Disagreement between the
+two is a hard error.  The solver works along the R-orbits of the K_i:
+for a basis B_i of K_i, R^m B_i spans the cell (i, i + m), V is the
+direct sum of the cells, and R^(d-2i+1) K_i = 0.  Any solution sends
+R^m B_i to y_m, where y_0 = 0 and
+y_{m+1} = R y_m + (q - q^-1)(K - K^-1) R^m B_i, so there is at most one,
+and there is one exactly when every y_{d-2i+1} is zero.  The solver
+checks both at run time, eliminating only the n x n matrix of the orbits.
 
 Construction raises OperatorError only when an operator cannot be built
 or its two constructions disagree (exit code 2 on the command line).
@@ -89,17 +96,16 @@ def build_psi_from_formula(sys: TDSystemInstance, apparatus: SplitApparatus) -> 
 def build_psi_from_solver(
     sys: TDSystemInstance, apparatus: SplitApparatus, r: Matrix
 ) -> Matrix:
-    """psi as the unique X with XR - RX = (q - q^-1)(K - K^-1), X K_i = 0."""
+    """psi as the unique X with XR - RX = (q - q^-1)(K - K^-1), X K_i = 0,
+    read off the R-orbits of the K_i (see the module docstring): unique
+    because the orbits form a basis, and existing because its values vanish
+    where each orbit ends.  A failure of either is an OperatorError."""
     q = sys.params.q
     c = combine((q - 1 / q, apparatus.Kop), (1 / q - q, apparatus.Kinv))
-    solutions = solve_commutant_constraint(r, c, apparatus.Kspaces)
-    if solutions.is_empty:
-        raise OperatorError("lowering-map system is inconsistent")
-    if not solutions.is_unique:
-        raise OperatorError(
-            f"lowering-map system has {solutions.freedom} degrees of freedom"
-        )
-    return solutions.solution
+    try:
+        return solve_commutant_constraint(r, c, apparatus.Kspaces)
+    except ValueError as exc:
+        raise OperatorError(f"lowering-map system is {exc}") from exc
 
 
 def casimir_action(

@@ -17,7 +17,6 @@ from .linalg import (
     Subspace,
     is_direct_sum,
     subspace_intersect,
-    subspace_sum,
     sum_of,
 )
 from .record import Record, setfield
@@ -33,7 +32,7 @@ def _prefix_sums(spaces, n) -> tuple:
     out = []
     acc = Subspace.zero(n)
     for s in spaces:
-        acc = subspace_sum(acc, s)
+        acc = sum_of((acc, s), n)
         out.append(acc)
     return tuple(out)
 

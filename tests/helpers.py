@@ -1,10 +1,14 @@
 """Helpers shared by the test modules."""
 
 import importlib.util
+import random
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
-from tdlab.linalg import Matrix, Subspace, rat
+from tdlab import forge
+from tdlab.linalg import Matrix, Subspace, _kernel_from_echelon, rat, rref
+from tdlab.tdsystem import QRacahParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,6 +26,30 @@ def replace(record, **changes):
     so validated) by its class."""
     fields = {f: getattr(record, f) for f in record._fields}
     return type(record)(**{**fields, **changes})
+
+
+def leonard(d):
+    """The validated split-form Leonard pair at (q, a, b) = (2, 3, 5), phi_1 = 1."""
+    p = QRacahParams(d, Fraction(2), Fraction(3), Fraction(5))
+    spec = forge.SplitFormSpec(p, forge.leonard_phi(p))
+    return forge.validate(forge.build_split_form(spec), p)
+
+
+def unimodular(n, seed) -> Matrix:
+    """P = LU for unit lower and upper triangular L and U whose other
+    entries are drawn from -2..2 with the given seed."""
+    rng = random.Random(seed)
+    lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return Matrix(lower) * Matrix(upper)
+
+
+def conjugate(system, p):
+    """The pair P A P^-1, P A* P^-1 of `system`, validated afresh."""
+    pinv = p.inverse()
+    return forge.validate((p * system.A * pinv, p * system.Astar * pinv), system.params)
 
 
 def column(entries) -> Matrix:
@@ -66,3 +94,57 @@ def tridiagonal_ok(op: Matrix, idems) -> tuple:
             if abs(i - j) > 1 and not (ej * op * ei).is_zero():
                 return False, (i, j)
     return True, None
+
+
+def solve_linear(a: Matrix, b: Matrix) -> tuple | None:
+    """Solve a x = b for one right-hand-side column.
+
+    Returns (particular, kernel_basis) where particular is a column Matrix
+    and kernel_basis a Matrix whose columns span the solution freedom, or
+    None when the system is inconsistent.  One elimination serves both:
+    the left block of rref(a | b) is rref(a).
+    """
+    if b.cols != 1 or b.rows != a.rows:
+        raise ValueError("right-hand side must be a single column")
+    rank, ech, pivots = rref(a.hstack(b))
+    if a.cols in pivots:
+        return None
+    x = [[0] for _ in range(a.cols)]
+    for r, p in enumerate(pivots):
+        x[p][0] = ech._n[r][a.cols]
+    return Matrix._of(a.cols, 1, x, ech._d), _kernel_from_echelon(ech, pivots, a.cols)
+
+
+def commutant_oracle(r: Matrix, c: Matrix, annihilated) -> tuple:
+    """(a solution or None, freedom) of {XR - RX = C, X S = 0 for S in
+    annihilated}, as one dense linear system in the n^2 entries of X.
+
+    The equations for entry (i, j) of XR - RX = C are scaled by the
+    denominators of R and C, and those of X v = 0 by the denominator of v.
+    """
+    n = r.rows
+    rn, cn = r._n, c._n
+    rs, cs = r._d, c._d
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            coeff = [0] * (n * n)
+            for k in range(n):
+                coeff[i * n + k] += rn[k][j] * cs
+                coeff[k * n + j] -= rn[i][k] * cs
+            rows.append(coeff)
+            rhs.append([cn[i][j] * rs])
+    for space in annihilated:
+        for v in zip(*space.basis._n):
+            for i in range(n):
+                coeff = [0] * (n * n)
+                coeff[i * n:(i + 1) * n] = v
+                rows.append(coeff)
+                rhs.append([0])
+    solved = solve_linear(Matrix._of(len(rows), n * n, rows, 1),
+                          Matrix._of(len(rhs), 1, rhs, 1))
+    if solved is None:
+        return None, 0
+    particular, ker = solved
+    xn = [[particular._n[i * n + k][0] for k in range(n)] for i in range(n)]
+    return Matrix._of(n, n, xn, particular._d), ker.cols

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import column, eval_factored_poly, span, whole
+from helpers import column, commutant_oracle, eval_factored_poly, solve_linear, span, whole
 from tdlab.linalg import (
-    AffineSolutions,
     Matrix,
     Subspace,
     combine,
@@ -15,9 +14,8 @@ from tdlab.linalg import (
     rat,
     rref,
     solve_commutant_constraint,
-    solve_linear,
     subspace_intersect,
-    subspace_sum,
+    sum_of,
 )
 
 
@@ -79,16 +77,17 @@ class TestMatrix:
 
 class TestSubspaceLattice:
     def test_sum_spans_plane(self):
-        s = subspace_sum(span(2, (1, 0)), span(2, (0, 1)))
+        s = sum_of((span(2, (1, 0)), span(2, (0, 1))), 2)
         assert s == whole(2)
 
     def test_sum_idempotent(self):
         s = span(3, (1, 2, 3), (0, 1, 1))
-        assert subspace_sum(s, s) == s
+        assert sum_of((s, s), 3) == s
+        assert sum_of((Subspace.zero(3), s), 3) == s == sum_of((s, Subspace.zero(3)), 3)
 
     def test_sum_echelon_basis(self):
         # oracle: rref of the stacked generators
-        s = subspace_sum(span(3, (1, 1, 0)), span(3, (0, 1, 1)))
+        s = sum_of((span(3, (1, 1, 0)), span(3, (0, 1, 1))), 3)
         assert s.dim == 2
         assert s.basis == Matrix.from_columns([(1, 0, -1), (0, 1, 1)])
 
@@ -112,6 +111,13 @@ class TestSubspaceLattice:
     def test_direct_sum_repeated_line(self):
         assert not is_direct_sum([span(2, (1, 0)), span(2, (1, 0))], 2)
 
+    def test_direct_sum_zero_parts_and_short_sums(self):
+        line, zero = span(3, (1, 0, 0)), Subspace.zero(3)
+        assert is_direct_sum([zero, whole(3), zero], 3)
+        assert not is_direct_sum([line, span(3, (0, 1, 0))], 3)
+        assert not is_direct_sum([line, line, span(3, (0, 1, 0))], 3)
+        assert is_direct_sum([], 0) and not is_direct_sum([zero], 3)
+
     def test_canonicality(self):
         a = span(3, (1, 1, 0), (0, 1, 1))
         b = span(3, (1, 2, 1), (2, 3, 1))
@@ -125,7 +131,7 @@ class TestSubspaceLattice:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            subspace_sum(span(2, (1, 0)), span(3, (1, 0, 0)))
+            sum_of((span(2, (1, 0)), span(3, (1, 0, 0))), 2)
 
 
 small_matrices = st.lists(
@@ -140,7 +146,7 @@ small_matrices = st.lists(
 def test_modular_law(gen_s, gen_t):
     s = span(4, *gen_s)
     t = span(4, *gen_t)
-    total = subspace_sum(s, t)
+    total = sum_of((s, t), 4)
     meet = subspace_intersect(s, t)
     assert total.contains(s) and total.contains(t)
     assert s.contains(meet) and t.contains(meet)
@@ -169,26 +175,90 @@ class TestFactoredPoly:
         assert left * right == eval_factored_poly(a, [1, 2, 3, 5])
 
 
+NOT_A_BASIS = "R-orbits of the annihilated spaces are not a basis"
+
+
 class TestCommutantSolver:
     def test_all_solutions_when_unconstrained(self):
+        # Every X solves it, so no orbit (there is none) can fix X.
         zero = Matrix.zeros(2, 2)
-        sols = solve_commutant_constraint(zero, zero, [])
-        assert not sols.is_empty
-        assert sols.freedom == 4
+        assert commutant_oracle(zero, zero, []) == (zero, 4)
+        with pytest.raises(ValueError, match=NOT_A_BASIS):
+            solve_commutant_constraint(zero, zero, [])
 
     def test_inconsistent(self):
-        zero = Matrix.zeros(2, 2)
-        sols = solve_commutant_constraint(zero, M([[1, 0], [0, 0]]), [])
-        assert sols.is_empty
+        # XR - RX = 0 != C, but with no orbit the solver decides nothing.
+        zero, c = Matrix.zeros(2, 2), M([[1, 0], [0, 0]])
+        assert commutant_oracle(zero, c, []) == (None, 0)
+        with pytest.raises(ValueError, match=NOT_A_BASIS):
+            solve_commutant_constraint(zero, c, [])
 
     def test_w1_lowering_operator(self):
         # oracle for the W1 lowering map: direct linear solve
         r = M([[0, 0], [1, 0]])
         c = M([["9/4", 0], [0, "-9/4"]])
         k0 = span(2, (1, 0))
-        sols = solve_commutant_constraint(r, c, [k0])
-        assert sols.is_unique
-        assert sols.solution == M([[0, "9/4"], [0, 0]])
+        assert solve_commutant_constraint(r, c, [k0]) == M([[0, "9/4"], [0, 0]])
+        assert commutant_oracle(r, c, [k0]) == (M([[0, "9/4"], [0, 0]]), 0)
+
+    def test_failed_top_condition_is_inconsistent(self):
+        # The orbit e_0 -> e_1 -> 0 is a basis, but y_2 = R e_0 + C e_1 = 2 e_1.
+        r = M([[0, 0], [1, 0]])
+        c = Matrix.identity(2)
+        with pytest.raises(ValueError, match="^inconsistent$"):
+            solve_commutant_constraint(r, c, [span(2, (1, 0))])
+        assert commutant_oracle(r, c, [span(2, (1, 0))]) == (None, 0)
+
+    def test_orbit_that_never_ends_stops(self):
+        eye = Matrix.identity(3)
+        with pytest.raises(ValueError, match=NOT_A_BASIS):
+            solve_commutant_constraint(eye, Matrix.zeros(3, 3), [span(3, (1, 2, 3))])
+
+    def test_singular_orbits_are_not_a_basis(self):
+        r = M([[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match=NOT_A_BASIS):
+            solve_commutant_constraint(r, Matrix.zeros(2, 2), [span(2, (0, 1)), span(2, (0, 1))])
+
+
+# R and C with small integer entries, and one annihilated line or plane S
+# of Q^n, n <= 4.  R is mostly strictly lower triangular, so that every
+# orbit ends, and C is mostly X0 R - R X0 for some X0 with X0 S = 0, so
+# that a solution exists.
+@st.composite
+def commutant_systems(draw):
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    lower = draw(st.booleans()) or draw(st.booleans())
+    r = Matrix([[draw(small) if (j < i or not lower) else 0 for j in range(n)]
+                for i in range(n)])
+    k = draw(st.integers(1, min(2, n)))
+    space = Subspace.from_columns(
+        n, Matrix.from_columns([[draw(small) for _ in range(n)] for _ in range(k)]))
+    if draw(st.booleans()) or draw(st.booleans()):
+        rows = space.basis.transpose().kernel().transpose()  # rows w, w S = 0
+        z = Matrix([[draw(small) for _ in range(rows.rows)] for _ in range(n)])
+        x0 = z * rows if rows.rows else Matrix.zeros(n, n)
+        c = x0 * r - r * x0
+    else:
+        c = Matrix([[draw(small) for _ in range(n)] for _ in range(n)])
+    return r, c, [space]
+
+
+@given(commutant_systems())
+@example((M([[0, 0], [1, 0]]), M([[1, 0], [0, -1]]), [span(2, (1, 0))]))
+@example((M([[0, 0], [1, 0]]), Matrix.identity(2), [span(2, (1, 0))]))
+@settings(max_examples=80, deadline=None)
+def test_orbit_solve_agrees_with_dense_oracle(system):
+    r, c, annihilated = system
+    solution, freedom = commutant_oracle(r, c, annihilated)
+    try:
+        x = solve_commutant_constraint(r, c, annihilated)
+    except ValueError as exc:
+        assert str(exc) == "inconsistent" or NOT_A_BASIS in str(exc)
+        if str(exc) == "inconsistent":
+            assert solution is None
+        return
+    assert freedom == 0 and x == solution
 
 
 # -- oracles for the zero-skipping primitives ---------------------------------

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
-from helpers import column, replace
-from tdlab import forge, psi
+from helpers import column, conjugate, leonard, replace, unimodular
+from tdlab import forge, linalg, psi
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import (
     OperatorError,
@@ -16,7 +17,7 @@ from tdlab.psi import (
     run_identity_suite,
 )
 from tdlab.split import build_apparatus
-from tdlab.tdsystem import second_inversion
+from tdlab.tdsystem import QRacahParams, second_inversion
 
 F = Fraction
 
@@ -71,6 +72,62 @@ def test_psi_formula_equals_solver(d):
     app = build_apparatus(sys)
     r = build_R(sys, app)
     assert build_psi_from_formula(sys, app) == build_psi_from_solver(sys, app, r)
+
+
+def first_inversion(sys):
+    """The pair with the A*-eigenspace order reversed: b becomes b^-1."""
+    p = sys.params
+    return forge.validate((sys.A, sys.Astar), QRacahParams(p.d, p.q, p.a, 1 / p.b))
+
+
+# Instances beyond the fixtures on which the orbit solve must give the
+# formula's psi: both inversions, K_1 != 0, larger d, and dense bases.
+SOLVER_INSTANCES = {
+    "first-inversion": lambda: first_inversion(forge.fixture(3)),
+    "second-inversion": lambda: second_inversion(forge.fixture(3)),
+    "shape121": lambda: forge.validate(
+        (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)), SHAPE_PARAMS),
+    "leonard4": lambda: leonard(4),
+    "leonard8": lambda: leonard(8),
+    "leonard16": lambda: leonard(16),
+    "dense4": lambda: conjugate(leonard(4), unimodular(5, 4)),
+    "dense8": lambda: conjugate(leonard(8), unimodular(9, 8)),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_INSTANCES)
+def test_psi_solver_equals_formula_beyond_fixtures(name):
+    sys = SOLVER_INSTANCES[name]()
+    app = build_apparatus(sys)
+    assert build_psi_from_formula(sys, app) == build_psi_from_solver(sys, app, build_R(sys, app))
+
+
+def test_dense_psi_solve_eliminates_only_n_by_2n(monkeypatch):
+    """On the d = 8 Leonard pair in a dense basis, the solver eliminates no
+    more than the n x 2n inverse of its orbit basis: no system in the n^2
+    entries of psi."""
+    sys = conjugate(leonard(8), unimodular(9, 2013))
+    app = build_apparatus(sys)
+    r = build_operator_set(sys, app).R
+    n, shapes, original = sys.dim, [], linalg.rref
+
+    def counted(m):
+        shapes.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    build_psi_from_solver(sys, app, r)
+    assert shapes and all(rows <= n and cols <= 2 * n for rows, cols in shapes), shapes
+
+
+def test_solver_failures_are_operator_errors():
+    sys = forge.fixture(2)
+    app = build_apparatus(sys)
+    r = build_R(sys, app)
+    with pytest.raises(OperatorError, match="^lowering-map system is inconsistent$"):
+        build_psi_from_solver(sys, replace(app, Kop=2 * app.Kop), r)
+    with pytest.raises(OperatorError, match="^lowering-map system is not determined: "):
+        build_psi_from_solver(sys, replace(app, Kspaces=app.Kspaces[1:]), r)
 
 
 def test_psi_disagreement_names_entries(monkeypatch):

@@ -1,24 +1,31 @@
 """The suite as one table: a selection of check-id prefixes is applied
 before the checks are evaluated, and gives what filtering the full report
-would give."""
+would give.  The operators, the report and the decomposition follow a
+change of basis."""
 
 import pytest
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
+from helpers import conjugate, unimodular
 from tdlab import forge
-from tdlab.linalg import Matrix
+from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import TABLE_PREFIXES, build_operator_set, run_identity_suite
 from tdlab.report import VerificationReport
 from tdlab.split import build_apparatus
 from tdlab.suite import full_suite
+from tdlab.uqsl2 import decompose_into_components, first_structure
 
 SELECTIONS = (["thm"], ["lem.KBfactor.1"], ["uq.first"], ["uq"], ["lem.minpoly"], ["cell"], [])
 
 
+def _shape121():
+    return forge.validate(
+        (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)), SHAPE_PARAMS)
+
+
 def _instances():
     yield "fixture2", forge.fixture(2)
-    yield "shape121", forge.validate(
-        (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)), SHAPE_PARAMS)
+    yield "shape121", _shape121()
 
 
 @pytest.fixture(scope="module", params=list(_instances()), ids=lambda p: p[0])
@@ -62,3 +69,37 @@ def test_unreached_table_forms_no_products(chain, monkeypatch):
     for select in (["uq"], []):
         assert len(run_identity_suite(sys, app, ops, VerificationReport(select))) == 0
     assert not built
+
+
+BASIS_CHANGE_INSTANCES = {
+    "fixture3": lambda: forge.fixture(3),
+    "shape121": _shape121,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", BASIS_CHANGE_INSTANCES)
+def test_change_of_basis(name, seed):
+    """Conjugating (A, A*) by P conjugates K, B, R, R↓, psi and Lambda by P,
+    and leaves the report bytes and the components unchanged."""
+    sys = BASIS_CHANGE_INSTANCES[name]()
+    app = build_apparatus(sys)
+    ops = build_operator_set(sys, app)
+    report = full_suite(sys, app, ops)
+    p = unimodular(sys.dim, seed)
+    pinv = p.inverse()
+    moved = conjugate(sys, p)
+    moved_app = build_apparatus(moved)
+    moved_ops = build_operator_set(moved, moved_app)
+    for name, split, dense in (("K", app.Kop, moved_app.Kop), ("B", app.Bop, moved_app.Bop),
+                               *((f, getattr(ops, f), getattr(moved_ops, f))
+                                 for f in ("R", "Rdd", "psi", "Lambda"))):
+        assert dense == p * split * pinv, name
+    moved_report = full_suite(moved, moved_app, moved_ops)
+    assert moved_report.to_json_lines().encode() == report.to_json_lines().encode()
+    parts = [decompose_into_components(first_structure(s, a, o.R, o.psi), s, a).components
+             for s, a, o in ((sys, app, ops), (moved, moved_app, moved_ops))]
+    assert [(c.i, c.label, c.multiplicity, c.casimir_scalar) for c in parts[1]] == [
+        (c.i, c.label, c.multiplicity, c.casimir_scalar) for c in parts[0]]
+    assert [c.space for c in parts[1]] == [
+        Subspace.from_columns(sys.dim, p * c.space.basis) for c in parts[0]]
