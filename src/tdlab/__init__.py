@@ -10,7 +10,7 @@ whatever that module holds is what the package serves.
 
 from .linalg import Matrix, Rational, Subspace, rat, rat_str
 from .report import CheckResult, VerificationReport
-from .tdsystem import QRacahParams, TDSystemInstance, second_inversion
+from .tdsystem import QRacahParams, TDSystemInstance
 
 # name -> the module that defines it, imported by `__getattr__` (PEP 562).
 _LAZY = {
@@ -45,5 +45,4 @@ __all__ = [
     "full_suite",
     "rat",
     "rat_str",
-    "second_inversion",
 ]

@@ -33,13 +33,17 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or a "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a string holding an
+    integer, "p/q" or a decimal.  Exponent notation ("1e9999999"), which
+    Fraction expands with no limit on the digits, is refused."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if "e" in x or "E" in x:
+                raise ValueError("exponent notation")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {x!r}") from exc
@@ -190,10 +194,8 @@ class Matrix:
         return Matrix._of(self.rows, other.cols, out, self._d * other._d)
 
     def __pow__(self, n: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        if n < 0:
-            return self.inverse() ** (-n)
+        if self.rows != self.cols or n < 0:
+            raise ValueError("only a square matrix has powers, and only n >= 0")
         result, base = None, self
         while n:
             if n & 1:
@@ -401,14 +403,6 @@ class Subspace:
             return columns.is_zero()
         return self.basis.hstack(columns).rank() == self.dim
 
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return self.holds(other.basis)
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection, via the kernel of the stacked generator system.
@@ -416,7 +410,8 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     Solving G1 x = G2 y, the intersection is G1 applied to the x-part of
     the kernel of [G1 | -G2].
     """
-    s1._check_ambient(s2)
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient_dim)
     ker = s1.basis.hstack(-s2.basis).kernel()

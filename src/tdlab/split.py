@@ -44,13 +44,13 @@ def eigenspace_sums(sys: TDSystemInstance) -> tuple:
     return star, _prefix_sums(plain, n), _prefix_sums(plain[::-1], n)[::-1]
 
 
-def split_decomposition(sys: TDSystemInstance, flavor: str = "first", sums=None) -> tuple:
+def split_decomposition(sys: TDSystemInstance, flavor: str, sums: tuple) -> tuple:
     """The first or second split decomposition of V, as d+1 subspaces, cut
-    from `sums` = `eigenspace_sums(sys)` (computed when not given)."""
+    from `sums` = `eigenspace_sums(sys)`."""
     if flavor not in ("first", "second"):
         raise ValueError("flavor must be 'first' or 'second'")
     d, n = sys.d, sys.dim
-    star_prefix, plain_prefix, plain_suffix = sums or eigenspace_sums(sys)
+    star_prefix, plain_prefix, plain_suffix = sums
     spaces = []
     for i in range(d + 1):
         other = plain_suffix[i] if flavor == "first" else plain_prefix[d - i]
@@ -73,23 +73,19 @@ def projector_sum(spaces, weights, n: int) -> Matrix:
     return g * Matrix.diagonal(diag) * g.inverse()
 
 
-def build_K(sys: TDSystemInstance, u: tuple | None = None) -> Matrix:
+def build_K(sys: TDSystemInstance, u: tuple) -> Matrix:
     """The invertible operator with eigenvalue q^(d-2i) on U_i."""
-    if u is None:
-        u = split_decomposition(sys, "first")
     d, q = sys.d, sys.params.q
     return projector_sum(u, [q ** (d - 2 * i) for i in range(d + 1)], sys.dim)
 
 
-def build_B(sys: TDSystemInstance, udd: tuple | None = None) -> Matrix:
+def build_B(sys: TDSystemInstance, udd: tuple) -> Matrix:
     """The invertible operator with eigenvalue q^(d-2i) on U_i↓."""
-    if udd is None:
-        udd = split_decomposition(sys, "second")
     d, q = sys.d, sys.params.q
     return projector_sum(udd, [q ** (d - 2 * i) for i in range(d + 1)], sys.dim)
 
 
-def compute_K_spaces(sys: TDSystemInstance, sums=None) -> tuple:
+def compute_K_spaces(sys: TDSystemInstance, sums: tuple) -> tuple:
     """K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_{d-i} V), 0 <= i <= d/2.
 
     The middle sums grow from the centre outwards; `sums` is as for
@@ -97,7 +93,7 @@ def compute_K_spaces(sys: TDSystemInstance, sums=None) -> tuple:
     aligned with i.
     """
     d, n, plain = sys.d, sys.dim, sys.eig.eigenspaces
-    star_prefix = (sums or eigenspace_sums(sys))[0]
+    star_prefix = sums[0]
     spaces, middle = [], Subspace.zero(n)
     for i in range(d // 2, -1, -1):
         middle = sum_of((middle, plain[i], plain[d - i]), n)

@@ -90,9 +90,6 @@ class QRacahParams(Record):
                 "dual eigenvalues would collide"
             )
 
-    def inverted_a(self) -> "QRacahParams":
-        return QRacahParams(self.d, self.q, 1 / self.a, self.b)
-
 
 def qracah_eigenvalues(params: QRacahParams) -> tuple:
     """Eigenvalue sequences theta_i = a q^(d-2i) + a^-1 q^(2i-d), dually with b."""
@@ -119,20 +116,14 @@ class EigenData(Record):
         setfield(self, "eigenspaces", eigenspaces)
         setfield(self, "factors", factors)
 
-    def reversed(self) -> "EigenData":
-        return EigenData(
-            tuple(reversed(self.eigenvalues)),
-            tuple(reversed(self.eigenspaces)),
-            tuple(reversed(self.factors)),
-        )
-
 
 def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
     """Eigenspaces of m for the given spectrum, with the factors m - theta_i I.
 
     Eigenspaces come from exact kernels of the factors.  Raises when some
-    eigenvalue has no eigenvector or the eigenspace dimensions do not sum
-    to the ambient dimension.
+    eigenvalue has no eigenvector, naming it by its index (the value may
+    have too many digits to print), or when the eigenspace dimensions do
+    not sum to the ambient dimension.
 
     Nothing else needs checking: eigenspaces of distinct eigenvalues are
     independent, so when their dimensions sum to n, m is diagonalizable and
@@ -151,10 +142,10 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
     factors = tuple(combine((1, m), (-t, eye)) for t in evs)
 
     spaces = []
-    for t, f in zip(evs, factors):
+    for i, f in enumerate(factors):
         spaces.append(Subspace.from_columns(n, f.kernel()))
         if spaces[-1].is_zero():
-            raise NotDiagonalizableError(f"{t} is not an eigenvalue")
+            raise NotDiagonalizableError(f"theta_{i} is not an eigenvalue")
     if sum(s.dim for s in spaces) != n:
         raise NotDiagonalizableError("not diagonalizable with the given spectrum")
     return EigenData(evs, tuple(spaces), factors)
@@ -260,16 +251,18 @@ def find_standard_orderings(
     """Eigendata of a and astar in the standard q-Racah orderings.
 
     Returns (eig, eigstar), the eigenvalues ordered by the q-Racah
-    formulas; every eigenvalue must have an eigenvector.  No other ordering
-    needs a scan (see the module docstring).
+    formulas; every eigenvalue must have an eigenvector.  A refusal names
+    the matrix.  No other ordering needs a scan (see the module docstring).
     """
-    theta, theta_star = qracah_eigenvalues(params)
-    try:
-        return build_eigendata(a, theta), build_eigendata(astar, theta_star)
-    except (NotDiagonalizableError, ValueError) as exc:
-        raise NotTDSystemError(
-            f"not a TD system for these parameters: {exc}"
-        ) from exc
+    data = []
+    for name, m, spectrum in zip(("A", "A*"), (a, astar), qracah_eigenvalues(params)):
+        try:
+            data.append(build_eigendata(m, spectrum))
+        except (NotDiagonalizableError, ValueError) as exc:
+            raise NotTDSystemError(
+                f"not a TD system for these parameters: {name}: {exc}"
+            ) from exc
+    return tuple(data)
 
 
 def make_instance(a: Matrix, astar: Matrix, params: QRacahParams) -> TDSystemInstance:
@@ -283,14 +276,3 @@ def make_instance(a: Matrix, astar: Matrix, params: QRacahParams) -> TDSystemIns
         failed = ", ".join(f"{e.check_id} ({e.note})" for e in report.failures)
         raise NotTDSystemError(f"TD axioms failed: {failed}")
     return TDSystemInstance(params, a, astar, eig, eigstar)
-
-
-def second_inversion(sys: TDSystemInstance) -> TDSystemInstance:
-    """Reverse the A-eigenspace ordering; a becomes a^-1 in the formulas."""
-    return TDSystemInstance(
-        sys.params.inverted_a(),
-        sys.A,
-        sys.Astar,
-        sys.eig.reversed(),
-        sys.eigstar,
-    )

@@ -1,6 +1,6 @@
 """Quantum sl2 machinery: relation checking, the irreducible reference
-models L(n, eps), weight theory, and decomposition of the two module
-structures carried by a validated instance.
+models L(n, 1), and the decomposition of the two module structures carried
+by a validated instance into them.
 """
 
 from __future__ import annotations
@@ -83,100 +83,48 @@ def verify_uq_relations(
     return report
 
 
-class IrreducibleModel(Record):
-    """The (n+1)-dimensional irreducible module L(n, eps) in its v-basis."""
-
-    __slots__ = _fields = ("n", "epsilon", "action")
-
-    def __init__(self, n: int, epsilon: int, action: UqAction):
-        setfield(self, "n", n)
-        setfield(self, "epsilon", epsilon)
-        setfield(self, "action", action)
-
-
-def build_L_model(n: int, epsilon: int, q: Fraction) -> IrreducibleModel:
-    """Explicit matrices for L(n, eps) in the basis v_0 .. v_n.
+def build_L_model(n: int, q: Fraction) -> UqAction:
+    """The action on the (n+1)-dimensional irreducible module L(n, 1), in
+    its basis v_0 .. v_n.
 
     The closed form satisfies the defining relations, with Casimir scalar
-    eps (q^(n+1) + q^(-n-1)), for every n, eps and q that pass the guards;
-    tests keep both as an oracle.
+    q^(n+1) + q^(-n-1), for every n and q that pass the guard; tests keep
+    both as an oracle.
     """
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
     for i in range(1, n + 1):
         if q ** (2 * i) == 1:
-            raise ValueError(f"q^{2 * i} = 1: L({n}, {epsilon}) would be reducible")
+            raise ValueError(f"q^{2 * i} = 1: L({n}, 1) would be reducible")
     dim = n + 1
     e_rows = [[Fraction(0)] * dim for _ in range(dim)]
     f_rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(1, n + 1):
-        e_rows[i - 1][i] = epsilon * q_int(n + 1 - i, q)
+        e_rows[i - 1][i] = q_int(n + 1 - i, q)
     for i in range(n):
         f_rows[i + 1][i] = q_int(i + 1, q)
-    e, f = Matrix(e_rows), Matrix(f_rows)
-    weights = [epsilon * q ** (n - 2 * i) for i in range(dim)]
-    k, kinv = Matrix.diagonal(weights), Matrix.diagonal([1 / x for x in weights])
-    return IrreducibleModel(n, epsilon, UqAction(e, f, k, kinv, q))
-
-
-def weight_decomposition(action: UqAction, weights) -> tuple:
-    """Weight spaces (eigenspaces of k) and highest weight spaces within them.
-
-    `weights` supplies the known spectrum of k; no eigenvalue discovery
-    is attempted.  Returns (weights map, highest weight spaces map).
-    """
-    n = action.dim
-    eye = Matrix.identity(n)
-    weight_spaces: dict = {}
-    highest: dict = {}
-    total = 0
-    for lam in weights:
-        if lam in weight_spaces:
-            continue
-        ker = (action.k - lam * eye).kernel()
-        space = Subspace.from_columns(n, ker)
-        weight_spaces[lam] = space
-        total += space.dim
-        if space.dim == 0:
-            highest[lam] = space
-            continue
-        inner = (action.e * space.basis).kernel()
-        highest[lam] = (
-            Subspace.from_columns(n, space.basis * inner)
-            if inner.cols
-            else Subspace.zero(n)
-        )
-    if total != n:
-        raise ModuleError("supplied weights do not exhaust the space")
-    return weight_spaces, highest
+    weights = [q ** (n - 2 * i) for i in range(dim)]
+    return UqAction(Matrix(e_rows), Matrix(f_rows), Matrix.diagonal(weights),
+                    Matrix.diagonal([1 / x for x in weights]), q)
 
 
 class Component(Record):
-    """One homogeneous component MK_i with explicit per-seed bases.
+    """One homogeneous component MK_i, the sum of `multiplicity` copies of
+    L(`label`, 1)."""
 
-    `label` is the n of L(n, 1); `bases` holds one Matrix of basis columns
-    v_0 .. v_n per seed vector.
-    """
-
-    __slots__ = _fields = ("i", "label", "multiplicity", "space", "bases",
-                           "casimir_scalar")
+    __slots__ = _fields = ("i", "label", "multiplicity", "space", "casimir_scalar")
 
     def __init__(self, i: int, label: int, multiplicity: int, space: Subspace,
-                 bases: tuple, casimir_scalar: Fraction):
+                 casimir_scalar: Fraction):
         setfield(self, "i", i)
         setfield(self, "label", label)
         setfield(self, "multiplicity", multiplicity)
         setfield(self, "space", space)
-        setfield(self, "bases", bases)
         setfield(self, "casimir_scalar", casimir_scalar)
 
 
 class ModuleDecomposition(Record):
-    __slots__ = _fields = ("weights", "highest_weight_spaces", "components")
+    __slots__ = _fields = ("components",)
 
-    def __init__(self, weights: dict, highest_weight_spaces: dict, components: tuple):
-        setfield(self, "weights", weights)
-        setfield(self, "highest_weight_spaces", highest_weight_spaces)
+    def __init__(self, components: tuple):
         setfield(self, "components", components)
 
 
@@ -189,19 +137,22 @@ def decompose_into_components(
     (gamma_j = (q - q^-1)^j [j]_q!) must carry e, f and k exactly as the
     model L(d-2i, 1) does; the components MK_i must direct-sum to V.
     tau(A) v is the column of v in the image of cell (i, i + j).
+
+    No weight space is computed, since none could fail once these checks
+    pass.  The cells decompose V, so the seed bases together are a basis
+    of V.  On it k is diagonal, with eigenvalue q^(d-2i-2j) on v_j, and
+    ker e is spanned by the v_0, which span the K_i.  So the weight spaces
+    of k exhaust V, and the highest weight spaces are the K_i; tests keep
+    the weight decomposition as an oracle.
     """
     d, n, q = sys.d, sys.dim, sys.params.q
-    weights = [q ** (d - 2 * i) for i in range(d + 1)]
     gammas = [((q - 1 / q) ** j) * q_factorial(j, q) for j in range(d + 1)]
-    weight_spaces, highest = weight_decomposition(action, weights)
-
     components = []
     for i, kspace in enumerate(apparatus.Kspaces):
         if kspace.is_zero():
             continue
         label = d - 2 * i
-        model = build_L_model(label, 1, q).action
-        seed_bases = []
+        model = build_L_model(label, q)
         for col in range(kspace.dim):
             basis = Matrix.from_columns(
                 tuple(x / gammas[j] for x in apparatus.cells[(i, i + j)].image.col(col))
@@ -210,21 +161,12 @@ def decompose_into_components(
             for name in ("e", "f", "k"):
                 if getattr(action, name) * basis != basis * getattr(model, name):
                     raise ModuleError(f"{name} does not act as in L({label},1)")
-            seed_bases.append(basis)
-        components.append(
-            Component(
-                i,
-                label,
-                kspace.dim,
-                apparatus.MK[i],
-                tuple(seed_bases),
-                q ** (label + 1) + q ** (-label - 1),
-            )
-        )
+        components.append(Component(i, label, kspace.dim, apparatus.MK[i],
+                                    q ** (label + 1) + q ** (-label - 1)))
 
     if not is_direct_sum([c.space for c in components], n):
         raise ModuleError("components do not direct-sum to the whole space")
-    return ModuleDecomposition(weight_spaces, highest, tuple(components))
+    return ModuleDecomposition(tuple(components))
 
 
 def first_structure(

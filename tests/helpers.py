@@ -7,8 +7,9 @@ from math import prod
 from pathlib import Path
 
 from tdlab import forge
-from tdlab.linalg import Matrix, Subspace, _kernel_from_echelon, rat, rref
-from tdlab.tdsystem import QRacahParams
+from tdlab.linalg import Matrix, Subspace, _kernel_from_echelon, rat, rref, sum_of
+from tdlab.tdsystem import EigenData, QRacahParams, TDSystemInstance
+from tdlab.uqsl2 import UqAction, build_L_model, q_factorial
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,6 +66,75 @@ def span(n, *vectors) -> Subspace:
 def whole(n) -> Subspace:
     """All of Q^n."""
     return Subspace.from_columns(n, Matrix.identity(n))
+
+
+def contains(s: Subspace, t: Subspace) -> bool:
+    """t lies in s: s + t is s, compared in canonical form (the oracle for
+    `Subspace.holds`)."""
+    return sum_of((s, t), s.ambient_dim) == s
+
+
+def second_inversion(sys: TDSystemInstance) -> TDSystemInstance:
+    """Reverse the A-eigenspace ordering; a becomes a^-1 in the formulas."""
+    p, eig = sys.params, sys.eig
+    return TDSystemInstance(
+        QRacahParams(p.d, p.q, 1 / p.a, p.b), sys.A, sys.Astar,
+        EigenData(eig.eigenvalues[::-1], eig.eigenspaces[::-1], eig.factors[::-1]),
+        sys.eigstar)
+
+
+def L_model(n, eps, q) -> UqAction:
+    """L(n, eps): the library's L(n, 1), and for eps = -1 its twist by the
+    automorphism e -> -e, f -> f, k -> -k of U_q(sl2)."""
+    action = build_L_model(n, q)
+    if eps == 1:
+        return action
+    return UqAction(-action.e, action.f, -action.k, -action.kinv, q)
+
+
+def seed_bases(sys, apparatus) -> list:
+    """(i, basis) for each seed column v of each K_i, as
+    `decompose_into_components` builds them: column j of the basis is
+    gamma_j^-1 tau(A) v, the column of v in the image of cell (i, i + j),
+    with gamma_j = (q - q^-1)^j [j]_q!."""
+    d, q = sys.d, sys.params.q
+    return [(i, Matrix.from_columns(
+                tuple(x / ((q - 1 / q) ** j * q_factorial(j, q))
+                      for x in apparatus.cells[(i, i + j)].image.col(col))
+                for j in range(d - 2 * i + 1)))
+            for i, k in enumerate(apparatus.Kspaces) for col in range(k.dim)]
+
+
+def weight_decomposition(action: UqAction, weights) -> tuple:
+    """Weight spaces (eigenspaces of k) and highest weight spaces within them.
+
+    `weights` supplies the known spectrum of k; no eigenvalue discovery
+    is attempted.  Returns (weights map, highest weight spaces map).
+    """
+    n = action.dim
+    eye = Matrix.identity(n)
+    weight_spaces: dict = {}
+    highest: dict = {}
+    total = 0
+    for lam in weights:
+        if lam in weight_spaces:
+            continue
+        ker = (action.k - lam * eye).kernel()
+        space = Subspace.from_columns(n, ker)
+        weight_spaces[lam] = space
+        total += space.dim
+        if space.dim == 0:
+            highest[lam] = space
+            continue
+        inner = (action.e * space.basis).kernel()
+        highest[lam] = (
+            Subspace.from_columns(n, space.basis * inner)
+            if inner.cols
+            else Subspace.zero(n)
+        )
+    if total != n:
+        raise ValueError("supplied weights do not exhaust the space")
+    return weight_spaces, highest
 
 
 def eval_factored_poly(a: Matrix, roots) -> Matrix:

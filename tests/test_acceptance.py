@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import commutant_oracle, replace
+from helpers import commutant_oracle, replace, second_inversion, weight_decomposition
 from tdlab import forge
 from tdlab.linalg import Matrix, Subspace, is_direct_sum, solve_commutant_constraint
 from tdlab.psi import (
@@ -21,7 +21,6 @@ from tdlab.psi import (
 )
 from tdlab.split import build_apparatus
 from tdlab.suite import full_suite
-from tdlab.tdsystem import second_inversion
 from tdlab.uqsl2 import (
     casimir_of,
     decompose_into_components,
@@ -126,31 +125,31 @@ def test_criterion_5_decomposition(bundles):
     for b in bundles.values():
         sys, apparatus, ops = b.sys, b.apparatus, b.ops
         n, d, q = sys.dim, sys.d, sys.params.q
-        blocks = [
-            apparatus.MK[i]
-            for i, k in enumerate(apparatus.Kspaces)
-            if not k.is_zero()
-        ]
-        ok = ok and is_direct_sum(blocks, n)
+        seeded = [i for i, k in enumerate(apparatus.Kspaces) if not k.is_zero()]
+        ok = ok and is_direct_sum([apparatus.MK[i] for i in seeded], n)
         spectrum = [q ** (d - 2 * i) for i in range(d + 1)]
         # decompose_into_components raises if any component basis breaks
-        # the irreducible action formulas
+        # the irreducible action formulas; the weight spaces, which it does
+        # not compute, come from the test oracle
         action1 = first_structure(sys, apparatus, ops.R, ops.psi)
         dec1 = decompose_into_components(action1, sys, apparatus)
+        ok = ok and [c.label for c in dec1.components] == [d - 2 * i for i in seeded]
         inv = second_inversion(sys)
         inv_apparatus = build_apparatus(inv)
         action2 = second_structure(sys, apparatus, ops.Rdd, ops.psi)
-        dec2 = decompose_into_components(action2, inv, inv_apparatus)
+        decompose_into_components(action2, inv, inv_apparatus)
+        weights1, highest1 = weight_decomposition(action1, spectrum)
+        weights2, highest2 = weight_decomposition(action2, spectrum)
         for i in range(d + 1):
-            ok = ok and dec1.weights[spectrum[i]] == apparatus.U[i]
-            ok = ok and dec2.weights[spectrum[i]] == apparatus.Udd[i]
+            ok = ok and weights1[spectrum[i]] == apparatus.U[i]
+            ok = ok and weights2[spectrum[i]] == apparatus.Udd[i]
             seed = (
                 apparatus.Kspaces[i]
                 if i < len(apparatus.Kspaces)
                 else Subspace.zero(n)
             )
-            ok = ok and dec1.highest_weight_spaces[spectrum[i]] == seed
-            ok = ok and dec2.highest_weight_spaces[spectrum[i]] == seed
+            ok = ok and highest1[spectrum[i]] == seed
+            ok = ok and highest2[spectrum[i]] == seed
     announce(5, "module decomposition: blocks, bases, weight spaces", ok)
 
 

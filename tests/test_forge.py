@@ -148,6 +148,23 @@ class TestRoundTrip:
         with pytest.raises(IngestError, match="malformed"):
             ingest(path)
 
+    def test_exponent_notation_rejected(self):
+        # Fraction would expand the entry to 10^400000 and validation refuse
+        # the pair; the entry is refused as it is read.
+        data = json.loads(format_instance(fixture(1)))
+        data["A"][0][0] = "1e400000"
+        with pytest.raises(IngestError, match="malformed.*not a rational"):
+            forge.parse_instance_dict(data)
+
+    def test_missing_eigenvalue_named_by_index(self, tmp_path):
+        # theta_0 = a q + 1 / (a q) has more digits than str() converts.
+        path = tmp_path / "big_q.json"
+        data = json.loads(format_instance(fixture(1)))
+        data["q"] = "1" + "0" * 3000
+        path.write_text(json.dumps(data))
+        with pytest.raises(NotTDSystemError, match="A: theta_0 is not an eigenvalue$"):
+            ingest(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         data = json.loads(format_instance(fixture(1)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
-from helpers import column, conjugate, leonard, replace, unimodular
+from helpers import column, conjugate, contains, leonard, replace, second_inversion, unimodular
 from tdlab import forge, linalg, psi
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import (
@@ -17,7 +17,7 @@ from tdlab.psi import (
     run_identity_suite,
 )
 from tdlab.split import build_apparatus
-from tdlab.tdsystem import QRacahParams, second_inversion
+from tdlab.tdsystem import QRacahParams
 
 F = Fraction
 
@@ -146,7 +146,7 @@ def test_psi_disagreement_names_entries(monkeypatch):
 
 def test_psi_lowers_first_split(w1_app, w1_ops):
     image = Subspace.from_columns(2, w1_ops.psi * w1_app.U[1].basis)
-    assert w1_app.U[0].contains(image)
+    assert contains(w1_app.U[0], image)
 
 
 def test_psi_equal_under_inversion(w1):

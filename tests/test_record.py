@@ -19,7 +19,7 @@ from tdlab.psi import OperatorSet
 from tdlab.report import CheckResult
 from tdlab.split import Cell, SplitApparatus, build_apparatus
 from tdlab.tdsystem import EigenData, ParameterError, QRacahParams, TDSystemInstance
-from tdlab.uqsl2 import Component, IrreducibleModel, ModuleDecomposition, UqAction
+from tdlab.uqsl2 import Component, ModuleDecomposition, UqAction
 
 F = Fraction
 P1 = QRacahParams(1, F(2), F(3), F(5))
@@ -36,9 +36,8 @@ RECORDS = [
     (SplitApparatus, (("U_0",), ("U_0↓",), ("K_0",), "cells", "K", "B"), "B'"),
     (OperatorSet, ("R", "R↓", "psi", "Lambda"), "Lambda'"),
     (UqAction, ("e", "f", "k", "k^-1", F(2)), F(3)),
-    (IrreducibleModel, (2, 1, "action"), "other action"),
-    (Component, (0, 2, 1, "MK_0", ("v",), F(65, 8)), F(5, 2)),
-    (ModuleDecomposition, ("weights", "highest", ("component",)), ()),
+    (Component, (0, 2, 1, "MK_0", F(65, 8)), F(5, 2)),
+    (ModuleDecomposition, (("component",),), ()),
 ]
 
 

@@ -1,13 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
-from helpers import column, span
-from tdlab import forge
-from tdlab.linalg import Matrix
+from helpers import (
+    L_model,
+    column,
+    leonard,
+    second_inversion,
+    seed_bases,
+    span,
+    weight_decomposition,
+)
+from tdlab import forge, linalg
+from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import build_operator_set
 from tdlab.split import build_apparatus
-from tdlab.tdsystem import second_inversion
 from tdlab.uqsl2 import (
     ModuleError,
     UqAction,
@@ -18,7 +26,6 @@ from tdlab.uqsl2 import (
     q_int,
     second_structure,
     verify_uq_relations,
-    weight_decomposition,
 )
 
 F = Fraction
@@ -66,41 +73,38 @@ def test_both_structures_satisfy_relations(d):
 
 def test_cubic_relations_follow_from_defining_ones():
     # accepted actions automatically satisfy the cubic consequences
-    model = build_L_model(3, 1, F(2))
-    report = verify_uq_relations(model.action)
+    report = verify_uq_relations(build_L_model(3, F(2)))
     by_id = {e.check_id: e.passed for e in report}
     assert by_id["uq.f2e"] and by_id["uq.e2f"]
 
 
 class TestLModels:
+    """The library builds L(n, 1) only; L(n, -1) is its twist (`helpers.L_model`)."""
+
     def test_n0(self):
-        model = build_L_model(0, -1, F(2))
-        assert model.action.e == Matrix.zeros(1, 1)
-        assert model.action.f == Matrix.zeros(1, 1)
-        assert model.action.k == Matrix([[-1]])
+        action = L_model(0, -1, F(2))
+        assert action.e == Matrix.zeros(1, 1)
+        assert action.f == Matrix.zeros(1, 1)
+        assert action.k == Matrix([[-1]])
 
     def test_n1(self):
-        model = build_L_model(1, 1, F(2))
-        assert model.action.e == Matrix([[0, 1], [0, 0]])
-        assert model.action.f == Matrix([[0, 0], [1, 0]])
-        assert model.action.k == Matrix.diagonal([2, "1/2"])
+        action = build_L_model(1, F(2))
+        assert action.e == Matrix([[0, 1], [0, 0]])
+        assert action.f == Matrix([[0, 0], [1, 0]])
+        assert action.k == Matrix.diagonal([2, "1/2"])
 
     def test_n2_e_entry(self):
-        model = build_L_model(2, 1, F(2))
+        action = build_L_model(2, F(2))
         # e v_1 = [2]_q v_0
-        assert model.action.e * column((0, 1, 0)) == column((F(5, 2), 0, 0))
+        assert action.e * column((0, 1, 0)) == column((F(5, 2), 0, 0))
 
     @pytest.mark.parametrize("n,eps", [(0, 1), (2, -1), (4, 1)])
     def test_casimir_scalar(self, n, eps):
         q = F(3)
-        model = build_L_model(n, eps, q)
+        action = L_model(n, eps, q)
         expected = eps * (q ** (n + 1) + q ** (-n - 1))
         coeff = (q - 1 / q) ** 2
-        lam = (
-            coeff * (model.action.e * model.action.f)
-            + (1 / q) * model.action.k
-            + q * model.action.kinv
-        )
+        lam = coeff * (action.e * action.f) + (1 / q) * action.k + q * action.kinv
         assert lam == expected * Matrix.identity(n + 1)
 
     @pytest.mark.parametrize("q", [F(2), F(3), F(1, 2), F(-2)], ids=str)
@@ -109,7 +113,7 @@ class TestLModels:
     def test_closed_form_is_a_module(self, n, eps, q):
         # The oracle for build_L_model, which does not check its own output:
         # the defining relations and the Casimir scalar eps (q^(n+1) + q^(-n-1)).
-        action = build_L_model(n, eps, q).action
+        action = L_model(n, eps, q)
         report = verify_uq_relations(action)
         assert report.all_passed, [e.check_id for e in report.failures]
         expected = eps * (q ** (n + 1) + q ** (-n - 1))
@@ -117,7 +121,7 @@ class TestLModels:
 
     def test_root_of_unity_guard(self):
         with pytest.raises(ValueError):
-            build_L_model(2, 1, F(-1))
+            build_L_model(2, F(-1))
 
 
 class TestWeights:
@@ -155,6 +159,13 @@ class TestWeights:
         for i, k in enumerate(app.Kspaces):
             assert highest[spectrum[i]] == k
             assert highest2[spectrum[i]] == k
+        # As decompose_into_components argues: column j of the seed bases
+        # of K_i spans U_(i + j) together, and those columns exhaust V.
+        seeds = seed_bases(sys, app)
+        assert sum(basis.cols for _, basis in seeds) == sys.dim
+        for level in range(d + 1):
+            cols = [basis.col(level - i) for i, basis in seeds if 0 <= level - i < basis.cols]
+            assert Subspace.from_columns(sys.dim, Matrix.from_columns(cols)) == app.U[level]
 
 
 class TestDecomposition:
@@ -165,15 +176,16 @@ class TestDecomposition:
         assert component.label == 1
         assert component.multiplicity == 1
         assert component.casimir_scalar == F(17, 4)
-        basis = component.bases[0]
+        ((i, basis),) = seed_bases(w1, w1_app)
+        assert i == 0
+        assert action.k * basis == basis * Matrix.diagonal([2, "1/2"])
         assert basis.col(0) == (F(1), F(0))
         assert basis.col(1) == (F(0), F(2, 3))  # gamma_1 = 3/2
 
     def test_w1_f_action_on_basis(self, w1, w1_app, w1_ops):
         q = w1.params.q
         action = first_structure(w1, w1_app, w1_ops.R, w1_ops.psi)
-        decomposition = decompose_into_components(action, w1, w1_app)
-        basis = decomposition.components[0].bases[0]
+        ((_, basis),) = seed_bases(w1, w1_app)
         assert action.f * column(basis.col(0)) == q_int(1, q) * column(basis.col(1))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -215,3 +227,30 @@ def test_decompose_rejects_perturbed_R(w1, w1_app, w1_ops):
     action = first_structure(w1, w1_app, Matrix(rows), w1_ops.psi)
     with pytest.raises(ModuleError):
         decompose_into_components(action, w1, w1_app)
+
+
+@pytest.mark.parametrize("name", ["leonard4", "shape121"])
+def test_decomposition_computes_no_weight_space(name, monkeypatch):
+    """With MK formed, as the suite forms it, decompose eliminates only for
+    its direct-sum rank test: no kernel, and at most one rref."""
+    sys = leonard(4) if name == "leonard4" else forge.validate(
+        (Matrix.from_strings(SHAPE_A), Matrix.from_strings(SHAPE_ASTAR)), SHAPE_PARAMS)
+    app = build_apparatus(sys)
+    ops = build_operator_set(sys, app)
+    action = first_structure(sys, app, ops.R, ops.psi)
+    assert app.MK
+    calls = {"kernel": 0, "rref": 0}
+    kernel, rref = Matrix.kernel, linalg.rref
+
+    def counted_kernel(m):
+        calls["kernel"] += 1
+        return kernel(m)
+
+    def counted_rref(m):
+        calls["rref"] += 1
+        return rref(m)
+
+    monkeypatch.setattr(Matrix, "kernel", counted_kernel)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    decompose_into_components(action, sys, app)
+    assert calls["kernel"] == 0 and calls["rref"] <= 1, calls
