@@ -77,8 +77,7 @@ def cmd_generate(args) -> int:
     else:
         phi = forge.leonard_phi(params)
     try:
-        spec = forge.SplitFormSpec(params, phi)
-        instance = forge.validate(forge.build_split_form(spec), params)
+        instance = forge.validate(forge.build_split_form(params, phi), params)
     except (NotTDSystemError, NotDiagonalizableError, ValueError) as exc:
         print(f"validation failed: {exc}", file=_sys.stderr)
         return EXIT_INVALID

@@ -15,7 +15,6 @@ import json
 from fractions import Fraction
 
 from .linalg import Matrix, rat, rat_str
-from .record import Record, setfield
 from .tdsystem import (
     QRacahParams,
     TDSystemInstance,
@@ -35,23 +34,16 @@ class IngestError(ValueError):
     pass
 
 
-class SplitFormSpec(Record):
-    __slots__ = _fields = ("params", "phi")
-
-    def __init__(self, params: QRacahParams, phi: tuple):
-        phi = tuple(rat(x) for x in phi)
-        setfield(self, "params", params)
-        setfield(self, "phi", phi)
-        if len(phi) != params.d:
-            raise ValueError(f"expected {params.d} superdiagonal entries")
-        if any(x == 0 for x in phi):
-            raise ValueError("superdiagonal entries must be nonzero")
-
-
-def build_split_form(spec: SplitFormSpec) -> tuple:
-    """Assemble the candidate (A, A*); not yet a validated instance."""
-    d = spec.params.d
-    theta, theta_star = qracah_eigenvalues(spec.params)
+def build_split_form(params: QRacahParams, phi) -> tuple:
+    """Assemble the candidate (A, A*) with superdiagonal phi (parsed by
+    `rat`); not yet a validated instance."""
+    d = params.d
+    phi = tuple(rat(x) for x in phi)
+    if len(phi) != d:
+        raise ValueError(f"expected {d} superdiagonal entries")
+    if any(x == 0 for x in phi):
+        raise ValueError("superdiagonal entries must be nonzero")
+    theta, theta_star = qracah_eigenvalues(params)
     n = d + 1
     a_rows = [[Fraction(0)] * n for _ in range(n)]
     astar_rows = [[Fraction(0)] * n for _ in range(n)]
@@ -60,7 +52,7 @@ def build_split_form(spec: SplitFormSpec) -> tuple:
         astar_rows[i][i] = theta_star[i]
         if i < d:
             a_rows[i + 1][i] = Fraction(1)
-            astar_rows[i][i + 1] = spec.phi[i]
+            astar_rows[i][i + 1] = phi[i]
     return Matrix(a_rows), Matrix(astar_rows)
 
 
@@ -154,5 +146,4 @@ def fixture(d: int) -> TDSystemInstance:
     """
     params = QRacahParams(d, Fraction(2), Fraction(3), Fraction(5))
     phi1 = {1: Fraction(1), 2: Fraction(1), 3: Fraction(21, 2)}[d]
-    spec = SplitFormSpec(params, leonard_phi(params, phi1))
-    return validate(build_split_form(spec), params)
+    return validate(build_split_form(params, leonard_phi(params, phi1)), params)

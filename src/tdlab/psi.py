@@ -31,10 +31,11 @@ from .linalg import (
     combine,
     solve_commutant_constraint,
 )
-from .record import Record, setfield
+from .record import Record
 from .report import ConsistencyError, VerificationReport
 from .split import SplitApparatus
 from .tdsystem import TDSystemInstance
+from .uqsl2 import UqAction, casimir_of, first_structure
 
 
 # The first components of every check id in `run_identity_suite`'s table.
@@ -47,12 +48,6 @@ class OperatorError(ConsistencyError):
 
 class OperatorSet(Record):
     __slots__ = _fields = ("R", "Rdd", "psi", "Lambda")
-
-    def __init__(self, R: Matrix, Rdd: Matrix, psi: Matrix, Lambda: Matrix):
-        setfield(self, "R", R)
-        setfield(self, "Rdd", Rdd)
-        setfield(self, "psi", psi)
-        setfield(self, "Lambda", Lambda)
 
 
 def build_R(sys: TDSystemInstance, apparatus: SplitApparatus) -> Matrix:
@@ -77,19 +72,12 @@ def cell_coefficient(q: Fraction, d: int, i: int, j: int) -> Fraction:
 def build_psi_from_formula(sys: TDSystemInstance, apparatus: SplitApparatus) -> Matrix:
     """Assemble psi from its defining action on the refined cell basis."""
     d, n, q = sys.d, sys.dim, sys.params.q
-    domain_cols = []
-    image_cols = []
-    for (i, j), cell in sorted(apparatus.cells.items()):
-        for c in range(cell.image.cols):
-            domain_cols.append(cell.image.col(c))
-            if j == i:
-                image_cols.append((Fraction(0),) * n)
-            else:
-                coeff = cell_coefficient(q, d, i, j)
-                lower = apparatus.cells[(i, j - 1)].image.col(c)
-                image_cols.append(tuple(coeff * x for x in lower))
-    p = Matrix.from_columns(domain_cols)
-    target = Matrix.from_columns(image_cols)
+    cells = sorted(apparatus.cells.items())
+    p = Matrix.hstack(*(cell.image for _, cell in cells))
+    target = Matrix.hstack(*(
+        Matrix.zeros(n, cell.image.cols) if j == i
+        else cell_coefficient(q, d, i, j) * apparatus.cells[(i, j - 1)].image
+        for (i, j), cell in cells))
     return target * p.inverse()
 
 
@@ -108,19 +96,18 @@ def build_psi_from_solver(
         raise OperatorError(f"lowering-map system is {exc}") from exc
 
 
-def casimir_action(
-    e: Matrix, f: Matrix, k: Matrix, kinv: Matrix, q: Fraction
-) -> Matrix:
-    """Normalized Casimir action (q - q^-1)^2 ef + q^-1 k + q k^-1.
+def casimir_action(action: UqAction) -> Matrix:
+    """Normalized Casimir action (q - q^-1)^2 ef + q^-1 k + q k^-1
+    (`casimir_of`).
 
-    Raises unless this equals the partner form with fe, which holds
-    exactly when (e, f, k) is a genuine quantum-sl2 action.
+    Raises unless k k^-1 = I and this equals the partner form with fe,
+    which holds exactly when (e, f, k) is a genuine quantum-sl2 action.
     """
+    e, f, k, kinv, q = action.e, action.f, action.k, action.kinv, action.q
     if k * kinv != Matrix.identity(k.rows):
         raise OperatorError("k kinv != I")
-    coeff = (q - 1 / q) ** 2
-    first = combine((coeff, e * f), (1 / q, k), (q, kinv))
-    second = combine((coeff, f * e), (q, k), (1 / q, kinv))
+    first = casimir_of(action)
+    second = combine(((q - 1 / q) ** 2, f * e), (q, k), (1 / q, kinv))
     if first != second:
         raise OperatorError("not a U_q(sl2) action: the Casimir forms differ")
     return first
@@ -128,7 +115,6 @@ def casimir_action(
 
 def build_operator_set(sys: TDSystemInstance, apparatus: SplitApparatus) -> OperatorSet:
     """Build R, R↓, psi (formula, cross-checked by the solver), and Lambda."""
-    q = sys.params.q
     r = build_R(sys, apparatus)
     rdd = build_Rdd(sys, apparatus)
     psi = build_psi_from_formula(sys, apparatus)
@@ -142,8 +128,7 @@ def build_operator_set(sys: TDSystemInstance, apparatus: SplitApparatus) -> Oper
             f"formula and solver constructions of psi disagree at {len(diff)} of "
             f"{psi.rows * psi.cols} entries, first at (row, col) = {diff[0]}"
         )
-    scale = 1 / (q - 1 / q)
-    lam = casimir_action(scale * psi, scale * r, apparatus.Kop, apparatus.Kinv, q)
+    lam = casimir_action(first_structure(sys, apparatus, r, psi))
     return OperatorSet(r, rdd, psi, lam)
 
 

@@ -6,7 +6,7 @@ import json
 from collections.abc import Iterable
 
 from .linalg import Matrix
-from .record import Record, setfield
+from .record import Record
 
 
 class ConsistencyError(ValueError):
@@ -22,14 +22,7 @@ class CheckResult(Record):
     """
 
     __slots__ = _fields = ("check_id", "anchor", "passed", "residual", "note")
-
-    def __init__(self, check_id: str, anchor: str, passed: bool,
-                 residual: Matrix | None = None, note: str = ""):
-        setfield(self, "check_id", check_id)
-        setfield(self, "anchor", anchor)
-        setfield(self, "passed", passed)
-        setfield(self, "residual", residual)
-        setfield(self, "note", note)
+    _defaults = {"residual": None, "note": ""}
 
     def to_record(self) -> dict:
         record = {
@@ -85,7 +78,7 @@ class VerificationReport:
             if not ok:
                 self.add(CheckResult(check_id, anchor, False, witness, note))
                 return
-        self.add(CheckResult(check_id, anchor, True))
+        self.add(CheckResult(check_id, anchor, True, None, ""))  # all by position: short path
 
     @property
     def all_passed(self) -> bool:

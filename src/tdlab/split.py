@@ -19,7 +19,7 @@ from .linalg import (
     subspace_intersect,
     sum_of,
 )
-from .record import Record, setfield
+from .record import Record
 from .report import ConsistencyError
 from .tdsystem import TDSystemInstance
 
@@ -110,25 +110,10 @@ class Cell(Record):
 
     __slots__ = _fields = ("i", "j", "image", "space")
 
-    def __init__(self, i: int, j: int, image: Matrix, space: Subspace):
-        setfield(self, "i", i)
-        setfield(self, "j", j)
-        setfield(self, "image", image)
-        setfield(self, "space", space)
-
 
 class SplitApparatus(Record):
     # No __slots__: the cached properties below live in the instance __dict__.
     _fields = ("U", "Udd", "Kspaces", "cells", "Kop", "Bop")
-
-    def __init__(self, U: tuple, Udd: tuple, Kspaces: tuple, cells: dict,
-                 Kop: Matrix, Bop: Matrix):
-        setfield(self, "U", U)
-        setfield(self, "Udd", Udd)
-        setfield(self, "Kspaces", Kspaces)
-        setfield(self, "cells", cells)
-        setfield(self, "Kop", Kop)
-        setfield(self, "Bop", Bop)
 
     # Cached on first use, not stored as fields, so that an apparatus built
     # from this one's fields with another Kop = X has Kinv = X^-1.

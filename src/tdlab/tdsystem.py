@@ -44,8 +44,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import prod
 
-from .linalg import Matrix, Rational, Subspace, combine, rat, spin_dim
-from .record import Record, setfield
+from .linalg import Matrix, Subspace, combine, rat, spin_dim
+from .record import Record
 from .report import VerificationReport
 
 
@@ -64,11 +64,9 @@ class NotTDSystemError(ValueError):
 class QRacahParams(Record):
     __slots__ = _fields = ("d", "q", "a", "b")
 
-    def __init__(self, d: int, q: Rational, a: Rational, b: Rational):
-        setfield(self, "d", d)
-        setfield(self, "q", q)
-        setfield(self, "a", a)
-        setfield(self, "b", b)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        d, q, a, b = self._values()
         if d < 1:
             raise ParameterError("diameter d must be a positive integer")
         if q == 0 or a == 0 or b == 0:
@@ -111,11 +109,6 @@ def qracah_eigenvalues(params: QRacahParams) -> tuple:
 class EigenData(Record):
     __slots__ = _fields = ("eigenvalues", "eigenspaces", "factors")
 
-    def __init__(self, eigenvalues: tuple, eigenspaces: tuple, factors: tuple):
-        setfield(self, "eigenvalues", eigenvalues)
-        setfield(self, "eigenspaces", eigenspaces)
-        setfield(self, "factors", factors)
-
 
 def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
     """Eigenspaces of m for the given spectrum, with the factors m - theta_i I.
@@ -139,28 +132,19 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
         raise ValueError("eigenvalues must be mutually distinct")
     n = m.rows
     eye = Matrix.identity(n)
-    factors = tuple(combine((1, m), (-t, eye)) for t in evs)
-
-    spaces = []
-    for i, f in enumerate(factors):
-        spaces.append(Subspace.from_columns(n, f.kernel()))
+    factors, spaces = [], []
+    for i, t in enumerate(evs):  # a refusal at theta_i forms no later factor
+        factors.append(combine((1, m), (-t, eye)))
+        spaces.append(Subspace.from_columns(n, factors[-1].kernel()))
         if spaces[-1].is_zero():
             raise NotDiagonalizableError(f"theta_{i} is not an eigenvalue")
     if sum(s.dim for s in spaces) != n:
         raise NotDiagonalizableError("not diagonalizable with the given spectrum")
-    return EigenData(evs, tuple(spaces), factors)
+    return EigenData(evs, tuple(spaces), tuple(factors))
 
 
 class TDSystemInstance(Record):
     __slots__ = _fields = ("params", "A", "Astar", "eig", "eigstar")
-
-    def __init__(self, params: QRacahParams, A: Matrix, Astar: Matrix,
-                 eig: EigenData, eigstar: EigenData):
-        setfield(self, "params", params)
-        setfield(self, "A", A)
-        setfield(self, "Astar", Astar)
-        setfield(self, "eig", eig)
-        setfield(self, "eigstar", eigstar)
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, combine, is_direct_sum
-from .record import Record, setfield
+from .linalg import Matrix, combine, is_direct_sum
+from .record import Record
 from .report import ConsistencyError, VerificationReport
 from .split import SplitApparatus
 from .tdsystem import TDSystemInstance
@@ -34,13 +34,6 @@ class UqAction(Record):
     """Matrices for the Chevalley generators e, f, k, k^-1."""
 
     __slots__ = _fields = ("e", "f", "k", "kinv", "q")
-
-    def __init__(self, e: Matrix, f: Matrix, k: Matrix, kinv: Matrix, q: Fraction):
-        setfield(self, "e", e)
-        setfield(self, "f", f)
-        setfield(self, "k", k)
-        setfield(self, "kinv", kinv)
-        setfield(self, "q", q)
 
     @property
     def dim(self) -> int:
@@ -112,20 +105,9 @@ class Component(Record):
 
     __slots__ = _fields = ("i", "label", "multiplicity", "space", "casimir_scalar")
 
-    def __init__(self, i: int, label: int, multiplicity: int, space: Subspace,
-                 casimir_scalar: Fraction):
-        setfield(self, "i", i)
-        setfield(self, "label", label)
-        setfield(self, "multiplicity", multiplicity)
-        setfield(self, "space", space)
-        setfield(self, "casimir_scalar", casimir_scalar)
-
 
 class ModuleDecomposition(Record):
     __slots__ = _fields = ("components",)
-
-    def __init__(self, components: tuple):
-        setfield(self, "components", components)
 
 
 def decompose_into_components(

@@ -32,8 +32,7 @@ def replace(record, **changes):
 def leonard(d):
     """The validated split-form Leonard pair at (q, a, b) = (2, 3, 5), phi_1 = 1."""
     p = QRacahParams(d, Fraction(2), Fraction(3), Fraction(5))
-    spec = forge.SplitFormSpec(p, forge.leonard_phi(p))
-    return forge.validate(forge.build_split_form(spec), p)
+    return forge.validate(forge.build_split_form(p, forge.leonard_phi(p)), p)
 
 
 def unimodular(n, seed) -> Matrix:

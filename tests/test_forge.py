@@ -7,7 +7,6 @@ from helpers import load_perfbench
 from tdlab import forge
 from tdlab.forge import (
     IngestError,
-    SplitFormSpec,
     build_split_form,
     export_instance,
     fixture,
@@ -28,7 +27,7 @@ gen = load_perfbench("gen")  # the benchmark's inputs, built without tdlab
 
 def _validates(params, phi) -> bool:
     try:
-        validate(build_split_form(SplitFormSpec(params, phi)), params)
+        validate(build_split_form(params, phi), params)
     except NotTDSystemError:
         return False
     return True
@@ -36,26 +35,38 @@ def _validates(params, phi) -> bool:
 
 class TestSplitForm:
     def test_w1_matrices(self):
-        a, astar = build_split_form(SplitFormSpec(W1_PARAMS, (F(1),)))
+        a, astar = build_split_form(W1_PARAMS, (F(1),))
         assert a == Matrix([["37/6", 0], [1, "13/6"]])
         assert astar == Matrix([["101/10", 1], [0, "29/10"]])
 
     def test_zero_superdiagonal_rejected(self):
+        with pytest.raises(ValueError, match="^superdiagonal entries must be nonzero$"):
+            build_split_form(W1_PARAMS, (F(0),))
         with pytest.raises(ValueError, match="nonzero"):
-            SplitFormSpec(W1_PARAMS, (F(0),))
+            build_split_form(W2_PARAMS, (F(1), "0/3"))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="superdiagonal"):
-            SplitFormSpec(W1_PARAMS, (F(1), F(2)))
+        with pytest.raises(ValueError, match="^expected 1 superdiagonal entries$"):
+            build_split_form(W1_PARAMS, (F(1), F(2)))
+        with pytest.raises(ValueError, match="^expected 2 superdiagonal entries$"):
+            build_split_form(W2_PARAMS, ())
+
+    def test_phi_parsed_by_rat(self):
+        """Entries may be strings or integers; each is parsed by `rat`."""
+        assert build_split_form(W1_PARAMS, ("3/2",)) == build_split_form(W1_PARAMS, (F(3, 2),))
+        assert build_split_form(W2_PARAMS, (1, "128")) == build_split_form(
+            W2_PARAMS, (F(1), F(128)))
+        with pytest.raises(ValueError, match="not a rational"):
+            build_split_form(W1_PARAMS, ("1e3",))
 
     def test_validate_accepts_w1(self):
-        sys = validate(build_split_form(SplitFormSpec(W1_PARAMS, (F(1),))), W1_PARAMS)
+        sys = validate(build_split_form(W1_PARAMS, (F(1),)), W1_PARAMS)
         assert sys.dim == 2
 
     def test_validate_rejects_non_instance(self):
         # generic phi at d = 2 misses the tridiagonality constraint surface
         params = QRacahParams(2, F(2), F(3), F(5))
-        candidate = build_split_form(SplitFormSpec(params, (F(1), F(1))))
+        candidate = build_split_form(params, (F(1), F(1)))
         with pytest.raises(NotTDSystemError):
             validate(candidate, params)
 
@@ -102,12 +113,12 @@ class TestLeonardPhi:
         phi = leonard_phi(params, (ts[1] - ts[0]) * (th[0] - th[d]))
         assert all(phi)
         with pytest.raises(NotTDSystemError, match=r"axiom\.iv"):
-            validate(build_split_form(SplitFormSpec(params, phi)), params)
+            validate(build_split_form(params, phi), params)
 
     def test_zero_entry_refused(self):
         # phi_2 = phi_1 + 126 vanishes at phi_1 = -126
         with pytest.raises(ValueError, match="nonzero"):
-            SplitFormSpec(W2_PARAMS, leonard_phi(W2_PARAMS, -126))
+            build_split_form(W2_PARAMS, leonard_phi(W2_PARAMS, -126))
 
 
 class TestFixtures:

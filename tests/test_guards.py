@@ -49,7 +49,7 @@ print(json.dumps([code, [m for m in sys.argv[2:] if m in sys.modules]]))
 
 def test_library_chain_stays_within_matrix_budget(monkeypatch):
     p = QRacahParams(4, F(2), F(3), F(5))
-    system = forge.validate(forge.build_split_form(forge.SplitFormSpec(p, forge.leonard_phi(p))), p)
+    system = forge.validate(forge.build_split_form(p, forge.leonard_phi(p)), p)
     built = []
     original = Matrix._of.__func__
 

@@ -1,4 +1,5 @@
-"""Library code that only the tests use belongs in tests/helpers.py.
+"""Library code that only the tests use belongs in tests/helpers.py, and
+a record class leaves storing its fields to `tdlab.record.Record`.
 
 Every function, class and method in src/tdlab, dunders aside, must be used
 by other library code, be read by the benchmark (perfbench/*.py), or be on
@@ -53,3 +54,29 @@ def test_every_library_definition_is_used_outside_the_tests():
         and node.name not in KEPT
     ]
     assert unused == []
+
+
+def _stores_only(function) -> bool:
+    """Whether every statement of `function`, a docstring aside, is a
+    `setfield(...)` call."""
+    body = [s for s in function.body
+            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    return bool(body) and all(
+        isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
+        and isinstance(s.value.func, ast.Name) and s.value.func.id == "setfield"
+        for s in body)
+
+
+def test_no_init_only_stores_its_fields():
+    """Record's one constructor binds and stores the fields; an __init__ of
+    a class is written only to do more, as QRacahParams validates."""
+    library = _parse((ROOT / "src" / "tdlab").glob("*.py"))
+    storing = [
+        cls.name
+        for tree in library
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__" and _stores_only(node)
+    ]
+    assert storing == []

@@ -18,6 +18,7 @@ from tdlab.psi import (
 )
 from tdlab.split import build_apparatus
 from tdlab.tdsystem import QRacahParams
+from tdlab.uqsl2 import UqAction, first_structure
 
 F = Fraction
 
@@ -160,20 +161,17 @@ class TestCasimirAction:
     def test_w1(self, w1, w1_app, w1_ops):
         q = w1.params.q
         scale = 1 / (q - 1 / q)
-        lam = casimir_action(
-            scale * w1_ops.psi,
-            scale * w1_ops.R,
-            w1_app.Kop,
-            w1_app.Kop.inverse(),
-            q,
-        )
+        action = UqAction(scale * w1_ops.psi, scale * w1_ops.R, w1_app.Kop,
+                          w1_app.Kop.inverse(), q)
+        lam = casimir_action(action)
         assert lam == F(17, 4) * Matrix.identity(2)
+        assert lam == casimir_action(first_structure(w1, w1_app, w1_ops.R, w1_ops.psi))
 
     def test_trivial_action(self):
         q = F(2)
         eye = Matrix.identity(3)
         zero = Matrix.zeros(3, 3)
-        assert casimir_action(zero, eye * 0, eye, eye, q) == (q + 1 / q) * eye
+        assert casimir_action(UqAction(zero, eye * 0, eye, eye, q)) == (q + 1 / q) * eye
 
     def test_rejects_non_action(self):
         q = F(2)
@@ -181,8 +179,14 @@ class TestCasimirAction:
         e = Matrix([[0, 1], [0, 0]])
         f = Matrix([[0, 0], [1, 0]])
         # ef - fe != 0 but k - k^-1 = 0: the two Casimir forms must differ
-        with pytest.raises(OperatorError):
-            casimir_action(e, f, eye, eye, q)
+        with pytest.raises(OperatorError, match="Casimir forms differ"):
+            casimir_action(UqAction(e, f, eye, eye, q))
+
+    def test_rejects_k_without_inverse(self):
+        q = F(2)
+        zero, eye = Matrix.zeros(2, 2), Matrix.identity(2)
+        with pytest.raises(OperatorError, match="k kinv != I"):
+            casimir_action(UqAction(zero, zero, eye, 2 * eye, q))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,9 +1,9 @@
 """Record semantics of tdlab's value classes (`tdlab.record.Record`).
 
 Each record keeps what its frozen-dataclass form gave: positional and
-keyword construction with defaults, validation at construction, no
-assignment, equality and hash by fields, copies, and the
-``Name(field=value)`` repr.
+keyword construction with defaults, refusal of a missing, unknown or
+repeated field, validation at construction, no assignment, equality and
+hash by fields, copies, and the ``Name(field=value)`` repr.
 """
 
 import copy
@@ -14,8 +14,8 @@ import pytest
 
 from helpers import replace
 from tdlab import forge
-from tdlab.forge import SplitFormSpec
 from tdlab.psi import OperatorSet
+from tdlab.record import Record
 from tdlab.report import CheckResult
 from tdlab.split import Cell, SplitApparatus, build_apparatus
 from tdlab.tdsystem import EigenData, ParameterError, QRacahParams, TDSystemInstance
@@ -28,7 +28,6 @@ P1 = QRacahParams(1, F(2), F(3), F(5))
 # hold matrices or subspaces get stand-ins: records do not check types.
 RECORDS = [
     (QRacahParams, (1, F(2), F(3), F(5)), F(7)),
-    (SplitFormSpec, (P1, (F(1),)), (F(2),)),
     (CheckResult, ("axiom.i.A", "diagonalizability of A", False, "residual", "note"), ""),
     (EigenData, ((F(1), F(2)), ("E_0 V", "E_1 V"), ("E_0", "E_1")), ("E_1", "E_0")),
     (TDSystemInstance, (P1, "A", "A*", "eig", "eigstar"), "eig"),
@@ -63,6 +62,31 @@ def test_record_semantics(cls, values, other):
     assert repr(record) == f"{cls.__name__}({fields})"
 
 
+@pytest.mark.parametrize("cls,values,other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_refuses_bad_fields(cls, values, other):
+    name, first = cls.__name__, cls._fields[0]
+    required = [f for f in cls._fields if f not in cls._defaults]
+    by_name = dict(zip(cls._fields, values))
+    for args, kwargs, message in (
+        (values[:len(required) - 1], {}, f"{name} is missing field(s) {required[-1]}"),
+        ((), {k: v for k, v in by_name.items() if k != first}, f"missing field(s) {first}"),
+        (values + (other,), {}, f"{name} takes {len(values)} fields, got {len(values) + 1}"),
+        (values, {"unknown": other}, f"{name} has no field 'unknown'"),
+        (values[:1], {first: other}, f"{name} got field '{first}' twice"),
+    ):
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert message in str(info.value)
+
+
+def test_only_check_result_has_defaults():
+    """RECORDS covers every record class, and only CheckResult has defaults."""
+    classes = set(Record.__subclasses__())
+    assert classes == {cls for cls, *_ in RECORDS}
+    assert {cls.__name__: cls._defaults for cls in classes if cls._defaults} == {
+        "CheckResult": {"residual": None, "note": ""}}
+
+
 def test_check_result_defaults():
     result = CheckResult("uq.ef", "anchor", True)
     assert (result.residual, result.note) == (None, "")
@@ -73,9 +97,8 @@ def test_check_result_defaults():
 def test_construction_refuses_invalid_fields():
     with pytest.raises(ParameterError, match="positive"):
         QRacahParams(d=0, q=F(2), a=F(3), b=F(5))
-    with pytest.raises(ValueError, match="nonzero"):
-        SplitFormSpec(params=P1, phi=(F(0),))
-    assert SplitFormSpec(P1, ("3/2",)).phi == (F(3, 2),)
+    with pytest.raises(ParameterError, match="nonzero"):
+        QRacahParams(2, F(2), b=F(5), a=F(0))
 
 
 def test_params_repr_is_pinned():

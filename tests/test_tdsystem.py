@@ -157,6 +157,22 @@ class TestEigendata:
         with pytest.raises(NotDiagonalizableError, match="^theta_1 is not an eigenvalue$"):
             build_eigendata(Matrix.diagonal([2, 2]), [2, 3])
 
+    def test_refusal_forms_no_later_factor(self, monkeypatch):
+        """A - theta_0 I is invertible for A = 0, so validation is refused at
+        theta_0 before any other factor A - theta_i I is formed."""
+        formed = []
+        original = tdsystem.combine
+
+        def counted(*terms):
+            formed.append(1)
+            return original(*terms)
+
+        monkeypatch.setattr(tdsystem, "combine", counted)
+        zero = Matrix.zeros(9, 9)
+        with pytest.raises(NotTDSystemError, match="A: theta_0 is not an eigenvalue"):
+            forge.validate((zero, zero), params(8))
+        assert len(formed) == 1
+
     def test_invariants(self):
         """The factors of build_eigendata, and the identities of the
         Lagrange idempotents over its eigenspaces."""
@@ -217,7 +233,7 @@ class TestAxioms:
 
         monkeypatch.setattr(tdsystem, "spin_dim", spin)
         p = params(2)
-        candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
+        candidate = forge.build_split_form(p, (1, 1))
         with pytest.raises(NotTDSystemError, match=r"axiom\.ii"):
             forge.validate(candidate, p)
 
@@ -235,7 +251,7 @@ class TestFailureMessages:
 
     def test_tridiagonality_witness_pairs(self):
         p = params(2)
-        candidate = forge.build_split_form(forge.SplitFormSpec(p, (1, 1)))
+        candidate = forge.build_split_form(p, (1, 1))
         with pytest.raises(
             NotTDSystemError,
             match=r"^TD axioms failed: axiom\.ii \(E_2 A\* E_0 != 0\), "
@@ -295,7 +311,7 @@ class TestOrderings:
 def _leonard_candidate(d):
     """The split-form Leonard pair at forge.leonard_phi's default point."""
     p = params(d)
-    return forge.build_split_form(forge.SplitFormSpec(p, forge.leonard_phi(p))), p
+    return forge.build_split_form(p, forge.leonard_phi(p)), p
 
 
 def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
@@ -347,7 +363,7 @@ def _off_line_candidates():
         phi = forge.leonard_phi(p)
         for k in range(d):
             moved = phi[:k] + (phi[k] + 1,) + phi[k + 1:]
-            candidate = forge.build_split_form(forge.SplitFormSpec(p, moved))
+            candidate = forge.build_split_form(p, moved)
             yield candidate, p
             yield candidate, replace(p, a=1 / p.a)
 
