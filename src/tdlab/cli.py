@@ -49,13 +49,13 @@ _FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)
 
 
 def _write(text: str, out_path: str | None) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         _sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            _sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") or not text else text + "\n")
+            fh.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -65,7 +65,7 @@ def cmd_generate(args) -> int:
         return EXIT_INVALID
     try:
         params = QRacahParams(args.d, rat(args.q), rat(args.a), rat(args.b))
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=_sys.stderr)
         return EXIT_INVALID
     if args.phi:
@@ -78,7 +78,7 @@ def cmd_generate(args) -> int:
         phi = forge.leonard_phi(params)
     try:
         instance = forge.validate(forge.build_split_form(params, phi), params)
-    except (NotTDSystemError, NotDiagonalizableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation failed: {exc}", file=_sys.stderr)
         return EXIT_INVALID
     if args.out:

@@ -10,10 +10,12 @@ arithmetic, and they skip zero entries; entries are read back as reduced
 over its entries), so `combine` builds sum_k c_k M_k in one pass, and
 ``+``, ``-``, unary ``-`` and `Matrix.scale` are each one `combine`.
 Elimination is fraction-free Gauss-Jordan, each row kept primitive by its
-gcd, with one division by the pivots at the end.  Subspaces are
-canonicalized by reduced row echelon form so that equal subspaces have
-bit-identical representations; `Subspace.holds` tests columns by one rank
-test, without canonicalizing their span.
+gcd, with one division by the pivots at the end.  A subspace of Q^n is
+only its basis, n x dim, canonicalized by reduced row echelon form so that
+equal subspaces have bit-identical representations; `Subspace.holds` tests
+columns by one rank test, without canonicalizing their span.  The lattice
+operations (`sum_of`, `is_direct_sum`, `subspace_intersect`) read n from
+the bases and refuse parts of different n.
 
 `solve_commutant_constraint` solves XR - RX = C with X = 0 on given
 subspaces along the R-orbits p_m = R^m B of their bases B, with no system
@@ -345,34 +347,31 @@ def _kernel_from_echelon(ech: Matrix, pivots: Sequence[int], ncols: int) -> Matr
 
 
 class Subspace:
-    """A subspace of the ambient column space Q^n.
+    """A subspace of the column space Q^n, n = basis.rows.
 
     The stored basis matrix has the canonical (reduced echelon) basis as
     its columns, so two equal subspaces are structurally identical.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+    def __init__(self, basis: Matrix):
         object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def from_columns(cls, ambient_dim: int, generators: Matrix) -> "Subspace":
+    def from_columns(cls, generators: Matrix) -> "Subspace":
         """Span of the columns of `generators`, canonicalized."""
         if generators.cols == 0:
-            return cls.zero(ambient_dim)
-        if generators.rows != ambient_dim:
-            raise ValueError("generator length != ambient dimension")
+            return cls.zero(generators.rows)
         rank, ech, _ = rref(generators.transpose())
-        return cls(ambient_dim, ech._top_rows(rank).transpose())
+        return cls(ech._top_rows(rank).transpose())
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(ambient_dim, 0))
+    def zero(cls, n: int) -> "Subspace":
+        return cls(Matrix.zeros(n, 0))
 
     @property
     def dim(self) -> int:
@@ -382,22 +381,18 @@ class Subspace:
         return self.dim == 0
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
-        return f"Subspace(dim {self.dim} of {self.ambient_dim})"
+        return f"Subspace(dim {self.dim} of {self.basis.rows})"
 
     def holds(self, columns: Matrix) -> bool:
         """Every column of `columns` lies in self: one rank test of
         [basis | columns], with no canonical form of their span."""
-        if columns.rows != self.ambient_dim:
+        if columns.rows != self.basis.rows:
             raise ValueError("column length != ambient dimension")
         if columns.cols == 0 or self.dim == 0:
             return columns.is_zero()
@@ -410,34 +405,29 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     Solving G1 x = G2 y, the intersection is G1 applied to the x-part of
     the kernel of [G1 | -G2].
     """
-    if s1.ambient_dim != s2.ambient_dim:
+    n = s1.basis.rows
+    if s2.basis.rows != n:
         raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
-        return Subspace.zero(s1.ambient_dim)
+        return Subspace.zero(n)
     ker = s1.basis.hstack(-s2.basis).kernel()
-    if ker.cols == 0:
-        return Subspace.zero(s1.ambient_dim)
-    return Subspace.from_columns(s1.ambient_dim, s1.basis * ker._top_rows(s1.dim))
+    return Subspace.from_columns(s1.basis * ker._top_rows(s1.dim))
 
 
-def sum_of(parts: Sequence[Subspace], ambient_dim: int) -> Subspace:
+def sum_of(parts: Sequence[Subspace]) -> Subspace:
     """The sum of the parts, by one elimination over all their bases."""
-    if any(p.ambient_dim != ambient_dim for p in parts):
-        raise ValueError("ambient dimension mismatch")
+    if len({p.basis.rows for p in parts}) != 1:
+        raise ValueError("no subspaces, or an ambient dimension mismatch")
     nonzero = [p for p in parts if p.dim]
-    if len(nonzero) <= 1:
-        return nonzero[0] if nonzero else Subspace.zero(ambient_dim)
-    return Subspace.from_columns(ambient_dim, Matrix.hstack(*(p.basis for p in nonzero)))
+    if len(nonzero) > 1:
+        return Subspace.from_columns(Matrix.hstack(*(p.basis for p in nonzero)))
+    return nonzero[0] if nonzero else parts[0]
 
 
-def is_direct_sum(parts: Sequence[Subspace], ambient_dim: int) -> bool:
+def is_direct_sum(parts: Sequence[Subspace]) -> bool:
     """True iff the parts form a decomposition of the ambient space."""
-    if any(p.ambient_dim != ambient_dim for p in parts):
-        raise ValueError("ambient dimension mismatch")
-    bases = [p.basis for p in parts if p.dim]
-    if sum(b.cols for b in bases) != ambient_dim:
-        return False
-    return not bases or Matrix.hstack(*bases).rank() == ambient_dim
+    total = sum_of(parts)
+    return total.dim == total.basis.rows == sum(p.dim for p in parts)
 
 
 def spin_dim(start: Matrix, generators: Sequence[Matrix]) -> int:
@@ -487,7 +477,7 @@ def solve_commutant_constraint(
     n = r.rows
     ps, ys, count = [], [], 0
     for space in annihilated:
-        if space.ambient_dim != n:
+        if space.basis.rows != n:
             raise ValueError("annihilated subspace has wrong ambient dimension")
         p, y = space.basis, Matrix.zeros(n, space.dim)
         while not p.is_zero():

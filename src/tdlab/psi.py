@@ -237,7 +237,7 @@ def run_identity_suite(
             (t.holds(x := psi * s.basis), x) for s, t in zip(Udd, (zero,) + Udd[:-1]))),
         ("lem.psiU.nilpotent", "psi^(d+1) = 0", lambda: pows[d + 1]),
         ("lem.psiUkernel", "kernel of psi on U_i equals K_i", lambda: (
-            (Subspace.from_columns(n, u.basis * x.kernel()) == k, x)
+            (Subspace.from_columns(u.basis * x.kernel()) == k, x)
             for u, x, k in zip(U, psiU, apparatus.Kspaces))),
         # Scalar action on each refined cell: R psi on (i, j) is the lowering
         # coefficient of (i, j), psi R that of (i, j + 1).

@@ -4,13 +4,16 @@ First split decomposition:
     U_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_d V)
 Second split decomposition:
     U_i↓ = (E*_0 V + ... + E*_i V) ∩ (E_0 V + ... + E_{d-i} V)
-K_i = U_i ∩ U_i↓ for 0 <= i <= d/2, and cell(i, j) is the image of K_i
-under the monic factored polynomial with roots theta_i .. theta_{j-1}.
+K_i = U_i ∩ U_i↓ for 0 <= i <= d/2, built by this definition; the tests
+compare it with the lemma K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... +
+E_{d-i} V).  cell(i, j) is the image of K_i under the monic factored
+polynomial with roots theta_i .. theta_{j-1}.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 from .linalg import (
     Matrix,
@@ -28,20 +31,15 @@ class SplitStructureError(ConsistencyError):
     """An internal-consistency failure while building the split apparatus."""
 
 
-def _prefix_sums(spaces, n) -> tuple:
-    out = []
-    acc = Subspace.zero(n)
-    for s in spaces:
-        acc = sum_of((acc, s), n)
-        out.append(acc)
-    return tuple(out)
+def _prefix_sums(spaces) -> tuple:
+    return tuple(accumulate(spaces, lambda acc, s: sum_of((acc, s))))
 
 
 def eigenspace_sums(sys: TDSystemInstance) -> tuple:
     """E*_0 V + ... + E*_i V, E_0 V + ... + E_i V and E_i V + ... + E_d V."""
-    n, plain = sys.dim, sys.eig.eigenspaces
-    star = _prefix_sums(sys.eigstar.eigenspaces, n)
-    return star, _prefix_sums(plain, n), _prefix_sums(plain[::-1], n)[::-1]
+    plain = sys.eig.eigenspaces
+    star = _prefix_sums(sys.eigstar.eigenspaces)
+    return star, _prefix_sums(plain), _prefix_sums(plain[::-1])[::-1]
 
 
 def split_decomposition(sys: TDSystemInstance, flavor: str, sums: tuple) -> tuple:
@@ -49,18 +47,18 @@ def split_decomposition(sys: TDSystemInstance, flavor: str, sums: tuple) -> tupl
     from `sums` = `eigenspace_sums(sys)`."""
     if flavor not in ("first", "second"):
         raise ValueError("flavor must be 'first' or 'second'")
-    d, n = sys.d, sys.dim
+    d = sys.d
     star_prefix, plain_prefix, plain_suffix = sums
     spaces = []
     for i in range(d + 1):
         other = plain_suffix[i] if flavor == "first" else plain_prefix[d - i]
         spaces.append(subspace_intersect(star_prefix[i], other))
-    if not is_direct_sum(spaces, n):
+    if not is_direct_sum(spaces):
         raise SplitStructureError(f"{flavor} split decomposition is not direct")
     return tuple(spaces)
 
 
-def projector_sum(spaces, weights, n: int) -> Matrix:
+def projector_sum(spaces, weights) -> Matrix:
     """Sum of weight_i * P_i where P_i projects onto spaces[i] along the rest.
 
     Built by a dense change of basis: the concatenated bases must be
@@ -68,37 +66,25 @@ def projector_sum(spaces, weights, n: int) -> Matrix:
     """
     diag = [w for s, w in zip(spaces, weights) for _ in range(s.dim)]
     g = Matrix.hstack(*(s.basis for s in spaces))
-    if g.rows != n or g.cols != n:
-        raise SplitStructureError("spaces do not decompose the ambient space")
     return g * Matrix.diagonal(diag) * g.inverse()
 
 
 def build_K(sys: TDSystemInstance, u: tuple) -> Matrix:
     """The invertible operator with eigenvalue q^(d-2i) on U_i."""
     d, q = sys.d, sys.params.q
-    return projector_sum(u, [q ** (d - 2 * i) for i in range(d + 1)], sys.dim)
+    return projector_sum(u, [q ** (d - 2 * i) for i in range(d + 1)])
 
 
 def build_B(sys: TDSystemInstance, udd: tuple) -> Matrix:
     """The invertible operator with eigenvalue q^(d-2i) on U_i↓."""
     d, q = sys.d, sys.params.q
-    return projector_sum(udd, [q ** (d - 2 * i) for i in range(d + 1)], sys.dim)
+    return projector_sum(udd, [q ** (d - 2 * i) for i in range(d + 1)])
 
 
-def compute_K_spaces(sys: TDSystemInstance, sums: tuple) -> tuple:
-    """K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_{d-i} V), 0 <= i <= d/2.
-
-    The middle sums grow from the centre outwards; `sums` is as for
-    `split_decomposition`.  Zero K_i are retained so indexing stays
-    aligned with i.
-    """
-    d, n, plain = sys.d, sys.dim, sys.eig.eigenspaces
-    star_prefix = sums[0]
-    spaces, middle = [], Subspace.zero(n)
-    for i in range(d // 2, -1, -1):
-        middle = sum_of((middle, plain[i], plain[d - i]), n)
-        spaces.append(subspace_intersect(star_prefix[i], middle))
-    return tuple(reversed(spaces))
+def compute_K_spaces(u: tuple, udd: tuple) -> tuple:
+    """K_i = U_i ∩ U_i↓ for 0 <= i <= d/2; a zero K_i keeps its index i."""
+    d = len(u) - 1
+    return tuple(subspace_intersect(u[i], udd[i]) for i in range(d // 2 + 1))
 
 
 class Cell(Record):
@@ -108,7 +94,7 @@ class Cell(Record):
     so downstream vector-level constructions can reuse the correspondence.
     """
 
-    __slots__ = _fields = ("i", "j", "image", "space")
+    __slots__ = _fields = ("image", "space")
 
 
 class SplitApparatus(Record):
@@ -128,14 +114,13 @@ class SplitApparatus(Record):
     @cached_property
     def prefix_sums(self) -> tuple:
         """(U_0 + ... + U_i for 0 <= i <= d, the same for the U_i↓)."""
-        n = self.U[0].ambient_dim
-        return _prefix_sums(self.U, n), _prefix_sums(self.Udd, n)
+        return _prefix_sums(self.U), _prefix_sums(self.Udd)
 
     @cached_property
     def MK(self) -> tuple:
         """MK_i, the span of all cells seeded by K_i, for each i."""
-        d, n = len(self.U) - 1, self.U[0].ambient_dim
-        return tuple(sum_of([self.cells[(i, j)].space for j in range(i, d - i + 1)], n)
+        d = len(self.U) - 1
+        return tuple(sum_of([self.cells[(i, j)].space for j in range(i, d - i + 1)])
                      for i in range(len(self.Kspaces)))
 
 
@@ -143,10 +128,11 @@ def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> di
     """Cells (i, j) -> image of K_i under the factored polynomial tau_ij(A).
 
     The image at level j is (A - theta_{j-1} I) times the image at j - 1.
-    Checks: per-j the cells sum directly to U_j; globally they decompose
-    V; each cell has the dimension of its seed K_i.
+    Checks: each cell has the dimension of its seed K_i, and per j the
+    cells sum directly to U_j, so that, the U_j being direct, the cells
+    decompose V.
     """
-    d, n = sys.d, sys.dim
+    d = sys.d
     factors = sys.eig.factors
     cells = {}
     for i, k in enumerate(kspaces):
@@ -154,19 +140,17 @@ def refined_decomposition(sys: TDSystemInstance, u: tuple, kspaces: tuple) -> di
         for j in range(i, d - i + 1):
             if j > i:
                 image = factors[j - 1] * image
-                space = Subspace.from_columns(n, image)
+                space = Subspace.from_columns(image)
             if space.dim != k.dim:
                 raise SplitStructureError(
                     f"tau_{i}{j}(A) is not injective on K_{i}"
                 )
-            cells[(i, j)] = Cell(i, j, image, space)
+            cells[(i, j)] = Cell(image, space)
 
     for j in range(d + 1):
         parts = [cells[(i, j)].space for i in range(min(j, d - j) + 1)]
-        if sum(p.dim for p in parts) != u[j].dim or sum_of(parts, n) != u[j]:
+        if sum(p.dim for p in parts) != u[j].dim or sum_of(parts) != u[j]:
             raise SplitStructureError(f"cells at level {j} do not decompose U_{j}")
-    if not is_direct_sum([c.space for c in cells.values()], n):
-        raise SplitStructureError("cells do not decompose V")
     return cells
 
 
@@ -175,14 +159,7 @@ def build_apparatus(sys: TDSystemInstance) -> SplitApparatus:
     sums = eigenspace_sums(sys)
     u = split_decomposition(sys, "first", sums)
     udd = split_decomposition(sys, "second", sums)
-
-    kspaces = compute_K_spaces(sys, sums)
-    if kspaces[0] != sys.eigstar.eigenspaces[0] or kspaces[0] != u[0]:
-        raise SplitStructureError("K_0 != E*_0 V = U_0")
-    for i, k in enumerate(kspaces):
-        if k != subspace_intersect(u[i], udd[i]):
-            raise SplitStructureError(f"K_{i} != U_{i} ∩ U_{i}↓")
-
+    kspaces = compute_K_spaces(u, udd)
     cells = refined_decomposition(sys, u, kspaces)
     apparatus = SplitApparatus(u, udd, kspaces, cells, build_K(sys, u), build_B(sys, udd))
     for i, (s, t) in enumerate(zip(*apparatus.prefix_sums)):

@@ -90,7 +90,10 @@ class QRacahParams(Record):
 
 
 def qracah_eigenvalues(params: QRacahParams) -> tuple:
-    """Eigenvalue sequences theta_i = a q^(d-2i) + a^-1 q^(2i-d), dually with b."""
+    """Eigenvalue sequences theta_i = a q^(d-2i) + a^-1 q^(2i-d), dually with b.
+
+    `QRacahParams` makes them distinct: as q^(2k) != 1 for k <= d, theta_i =
+    theta_j with i != j exactly when a^2 = q^(2(i+j)-2d), which it forbids."""
     d, q = params.d, params.q
     theta = tuple(
         params.a * q ** (d - 2 * i) + q ** (2 * i - d) / params.a
@@ -100,9 +103,6 @@ def qracah_eigenvalues(params: QRacahParams) -> tuple:
         params.b * q ** (d - 2 * i) + q ** (2 * i - d) / params.b
         for i in range(d + 1)
     )
-    for seq, name in ((theta, "eigenvalue"), (theta_star, "dual eigenvalue")):
-        if len(set(seq)) != d + 1:
-            raise ParameterError(f"{name} sequence is not mutually distinct")
     return theta, theta_star
 
 
@@ -135,7 +135,7 @@ def build_eigendata(m: Matrix, eigenvalues: Sequence) -> EigenData:
     factors, spaces = [], []
     for i, t in enumerate(evs):  # a refusal at theta_i forms no later factor
         factors.append(combine((1, m), (-t, eye)))
-        spaces.append(Subspace.from_columns(n, factors[-1].kernel()))
+        spaces.append(Subspace.from_columns(factors[-1].kernel()))
         if spaces[-1].is_zero():
             raise NotDiagonalizableError(f"theta_{i} is not an eigenvalue")
     if sum(s.dim for s in spaces) != n:
@@ -242,7 +242,7 @@ def find_standard_orderings(
     for name, m, spectrum in zip(("A", "A*"), (a, astar), qracah_eigenvalues(params)):
         try:
             data.append(build_eigendata(m, spectrum))
-        except (NotDiagonalizableError, ValueError) as exc:
+        except ValueError as exc:
             raise NotTDSystemError(
                 f"not a TD system for these parameters: {name}: {exc}"
             ) from exc

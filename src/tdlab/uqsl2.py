@@ -127,7 +127,7 @@ def decompose_into_components(
     of k exhaust V, and the highest weight spaces are the K_i; tests keep
     the weight decomposition as an oracle.
     """
-    d, n, q = sys.d, sys.dim, sys.params.q
+    d, q = sys.d, sys.params.q
     gammas = [((q - 1 / q) ** j) * q_factorial(j, q) for j in range(d + 1)]
     components = []
     for i, kspace in enumerate(apparatus.Kspaces):
@@ -146,7 +146,7 @@ def decompose_into_components(
         components.append(Component(i, label, kspace.dim, apparatus.MK[i],
                                     q ** (label + 1) + q ** (-label - 1)))
 
-    if not is_direct_sum([c.space for c in components], n):
+    if not components or not is_direct_sum([c.space for c in components]):
         raise ModuleError("components do not direct-sum to the whole space")
     return ModuleDecomposition(tuple(components))
 

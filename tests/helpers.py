@@ -7,7 +7,15 @@ from math import prod
 from pathlib import Path
 
 from tdlab import forge
-from tdlab.linalg import Matrix, Subspace, _kernel_from_echelon, rat, rref, sum_of
+from tdlab.linalg import (
+    Matrix,
+    Subspace,
+    _kernel_from_echelon,
+    rat,
+    rref,
+    subspace_intersect,
+    sum_of,
+)
 from tdlab.tdsystem import EigenData, QRacahParams, TDSystemInstance
 from tdlab.uqsl2 import UqAction, build_L_model, q_factorial
 
@@ -59,18 +67,27 @@ def column(entries) -> Matrix:
 
 def span(n, *vectors) -> Subspace:
     """The subspace of Q^n spanned by the given vectors."""
-    return Subspace.from_columns(n, Matrix.from_columns(vectors))
+    return Subspace.from_columns(Matrix.from_columns(vectors))
 
 
 def whole(n) -> Subspace:
     """All of Q^n."""
-    return Subspace.from_columns(n, Matrix.identity(n))
+    return Subspace.from_columns(Matrix.identity(n))
 
 
 def contains(s: Subspace, t: Subspace) -> bool:
     """t lies in s: s + t is s, compared in canonical form (the oracle for
     `Subspace.holds`)."""
-    return sum_of((s, t), s.ambient_dim) == s
+    return sum_of((s, t)) == s
+
+
+def kspaces_by_lemma(sys: TDSystemInstance) -> tuple:
+    """K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... + E_{d-i} V) for
+    0 <= i <= d/2, each sum formed afresh from the eigenspaces: the lemma
+    that the apparatus's K_i = U_i ∩ U_i↓ must agree with."""
+    d, star, plain = sys.d, sys.eigstar.eigenspaces, sys.eig.eigenspaces
+    return tuple(subspace_intersect(sum_of(star[:i + 1]), sum_of(plain[i:d - i + 1]))
+                 for i in range(d // 2 + 1))
 
 
 def second_inversion(sys: TDSystemInstance) -> TDSystemInstance:
@@ -119,7 +136,7 @@ def weight_decomposition(action: UqAction, weights) -> tuple:
         if lam in weight_spaces:
             continue
         ker = (action.k - lam * eye).kernel()
-        space = Subspace.from_columns(n, ker)
+        space = Subspace.from_columns(ker)
         weight_spaces[lam] = space
         total += space.dim
         if space.dim == 0:
@@ -127,7 +144,7 @@ def weight_decomposition(action: UqAction, weights) -> tuple:
             continue
         inner = (action.e * space.basis).kernel()
         highest[lam] = (
-            Subspace.from_columns(n, space.basis * inner)
+            Subspace.from_columns(space.basis * inner)
             if inner.cols
             else Subspace.zero(n)
         )

@@ -126,7 +126,7 @@ def test_criterion_5_decomposition(bundles):
         sys, apparatus, ops = b.sys, b.apparatus, b.ops
         n, d, q = sys.dim, sys.d, sys.params.q
         seeded = [i for i, k in enumerate(apparatus.Kspaces) if not k.is_zero()]
-        ok = ok and is_direct_sum([apparatus.MK[i] for i in seeded], n)
+        ok = ok and is_direct_sum([apparatus.MK[i] for i in seeded])
         spectrum = [q ** (d - 2 * i) for i in range(d + 1)]
         # decompose_into_components raises if any component basis breaks
         # the irreducible action formulas; the weight spaces, which it does

@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import replace
-from tdlab import forge
-from tdlab.linalg import Matrix
+from helpers import leonard, replace
+from tdlab import forge, split
+from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import build_operator_set
 from tdlab.split import build_apparatus
 from tdlab.suite import full_suite
@@ -65,6 +65,23 @@ def test_library_chain_stays_within_matrix_budget(monkeypatch):
     monkeypatch.undo()
     assert report.all_passed
     assert 0 < len(built) <= MATRIX_BUDGET, len(built)
+
+
+def test_apparatus_intersects_only_for_U_Udd_and_K(monkeypatch):
+    """2(d + 1) intersections cut the two split decompositions and d/2 + 1
+    more the K_i = U_i ∩ U_i↓, with no second formula for the K_i to check
+    them against; a subspace is its basis alone."""
+    system, calls = leonard(8), []
+    original = split.subspace_intersect
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(split, "subspace_intersect", counted)
+    build_apparatus(system)
+    assert len(calls) <= 2 * (8 + 1) + 8 // 2 + 1, len(calls)
+    assert Subspace.__slots__ == ("basis",)
 
 
 def test_failing_report_bytes():

@@ -94,17 +94,17 @@ class TestMatrix:
 
 class TestSubspaceLattice:
     def test_sum_spans_plane(self):
-        s = sum_of((span(2, (1, 0)), span(2, (0, 1))), 2)
+        s = sum_of((span(2, (1, 0)), span(2, (0, 1))))
         assert s == whole(2)
 
     def test_sum_idempotent(self):
         s = span(3, (1, 2, 3), (0, 1, 1))
-        assert sum_of((s, s), 3) == s
-        assert sum_of((Subspace.zero(3), s), 3) == s == sum_of((s, Subspace.zero(3)), 3)
+        assert sum_of((s, s)) == s
+        assert sum_of((Subspace.zero(3), s)) == s == sum_of((s, Subspace.zero(3)))
 
     def test_sum_echelon_basis(self):
         # oracle: rref of the stacked generators
-        s = sum_of((span(3, (1, 1, 0)), span(3, (0, 1, 1))), 3)
+        s = sum_of((span(3, (1, 1, 0)), span(3, (0, 1, 1))))
         assert s.dim == 2
         assert s.basis == Matrix.from_columns([(1, 0, -1), (0, 1, 1)])
 
@@ -123,17 +123,17 @@ class TestSubspaceLattice:
         assert s == span(3, (1, 0, -1))
 
     def test_direct_sum_plane(self):
-        assert is_direct_sum([span(2, (1, 0)), span(2, (0, 1))], 2)
+        assert is_direct_sum([span(2, (1, 0)), span(2, (0, 1))])
 
     def test_direct_sum_repeated_line(self):
-        assert not is_direct_sum([span(2, (1, 0)), span(2, (1, 0))], 2)
+        assert not is_direct_sum([span(2, (1, 0)), span(2, (1, 0))])
 
     def test_direct_sum_zero_parts_and_short_sums(self):
         line, zero = span(3, (1, 0, 0)), Subspace.zero(3)
-        assert is_direct_sum([zero, whole(3), zero], 3)
-        assert not is_direct_sum([line, span(3, (0, 1, 0))], 3)
-        assert not is_direct_sum([line, line, span(3, (0, 1, 0))], 3)
-        assert is_direct_sum([], 0) and not is_direct_sum([zero], 3)
+        assert is_direct_sum([zero, whole(3), zero])
+        assert not is_direct_sum([line, span(3, (0, 1, 0))])
+        assert not is_direct_sum([line, line, span(3, (0, 1, 0))])
+        assert not is_direct_sum([zero])
 
     def test_canonicality(self):
         a = span(3, (1, 1, 0), (0, 1, 1))
@@ -148,7 +148,15 @@ class TestSubspaceLattice:
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            sum_of((span(2, (1, 0)), span(3, (1, 0, 0))), 2)
+            sum_of((span(2, (1, 0)), span(3, (1, 0, 0))))
+
+    @pytest.mark.parametrize("lattice_op", [sum_of, is_direct_sum])
+    def test_refuses_no_parts_and_mismatched_parts(self, lattice_op):
+        line = span(3, (1, 0, 0))
+        for parts in ([], (), [line, span(2, (1, 0))], [line, Subspace.zero(2)],
+                      [Subspace.zero(2), line], [Subspace.zero(3), Subspace.zero(2)]):
+            with pytest.raises(ValueError):
+                lattice_op(parts)
 
 
 small_matrices = st.lists(
@@ -163,7 +171,7 @@ small_matrices = st.lists(
 def test_modular_law(gen_s, gen_t):
     s = span(4, *gen_s)
     t = span(4, *gen_t)
-    total = sum_of((s, t), 4)
+    total = sum_of((s, t))
     meet = subspace_intersect(s, t)
     assert contains(total, s) and contains(total, t)
     assert contains(s, meet) and contains(t, meet)
@@ -250,7 +258,7 @@ def commutant_systems(draw):
                 for i in range(n)])
     k = draw(st.integers(1, min(2, n)))
     space = Subspace.from_columns(
-        n, Matrix.from_columns([[draw(small) for _ in range(n)] for _ in range(k)]))
+        Matrix.from_columns([[draw(small) for _ in range(n)] for _ in range(k)]))
     if draw(st.booleans()) or draw(st.booleans()):
         rows = space.basis.transpose().kernel().transpose()  # rows w, w S = 0
         z = Matrix([[draw(small) for _ in range(rows.rows)] for _ in range(n)])
@@ -503,7 +511,7 @@ def primitive_results(a, b, s):
     yield square
     yield rref(a)[1]
     yield a.kernel()
-    yield Subspace.from_columns(a.rows, a).basis
+    yield Subspace.from_columns(a).basis
     if square.rank() == square.rows:
         yield square.inverse()
     solved = solve_linear(a, b * column([1] * b.cols)) if b.cols else None
@@ -624,10 +632,9 @@ def matrices_of_shape(rows, cols):
 def test_holds_matches_contains(case):
     # `inside` draws the columns from the span of the generators.
     generators, mix, other, inside = case
-    n = generators.rows
-    s = Subspace.from_columns(n, generators)
+    s = Subspace.from_columns(generators)
     columns = generators * mix if inside else other
-    assert s.holds(columns) == contains(s, Subspace.from_columns(n, columns))
+    assert s.holds(columns) == contains(s, Subspace.from_columns(columns))
     assert s.holds(columns) or not inside
 
 

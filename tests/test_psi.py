@@ -146,7 +146,7 @@ def test_psi_disagreement_names_entries(monkeypatch):
 
 
 def test_psi_lowers_first_split(w1_app, w1_ops):
-    image = Subspace.from_columns(2, w1_ops.psi * w1_app.U[1].basis)
+    image = Subspace.from_columns(w1_ops.psi * w1_app.U[1].basis)
     assert contains(w1_app.U[0], image)
 
 

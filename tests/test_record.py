@@ -31,7 +31,7 @@ RECORDS = [
     (CheckResult, ("axiom.i.A", "diagonalizability of A", False, "residual", "note"), ""),
     (EigenData, ((F(1), F(2)), ("E_0 V", "E_1 V"), ("E_0", "E_1")), ("E_1", "E_0")),
     (TDSystemInstance, (P1, "A", "A*", "eig", "eigstar"), "eig"),
-    (Cell, (0, 1, "image", "space"), "other space"),
+    (Cell, ("image", "space"), "other space"),
     (SplitApparatus, (("U_0",), ("U_0↓",), ("K_0",), "cells", "K", "B"), "B'"),
     (OperatorSet, ("R", "R↓", "psi", "Lambda"), "Lambda'"),
     (UqAction, ("e", "f", "k", "k^-1", F(2)), F(3)),

@@ -2,13 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, replace, second_inversion, span, whole
+from helpers import (
+    conjugate,
+    contains,
+    kspaces_by_lemma,
+    leonard,
+    replace,
+    second_inversion,
+    span,
+    unimodular,
+    whole,
+)
+from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
+
 from tdlab import forge
 from tdlab.linalg import (
     Matrix,
     Subspace,
     is_direct_sum,
-    subspace_intersect,
     sum_of,
 )
 from tdlab.split import (
@@ -69,13 +80,12 @@ def test_splits_decompose_v(any_sys):
     for flavor in ("first", "second"):
         spaces = split(any_sys, flavor)
         assert sum(s.dim for s in spaces) == n
-        assert is_direct_sum(list(spaces), n)
+        assert is_direct_sum(list(spaces))
 
 
 def test_prefix_identity(any_sys, any_app):
-    n = any_sys.dim
     for i in range(any_sys.d + 1):
-        assert sum_of(any_app.U[: i + 1], n) == sum_of(any_app.Udd[: i + 1], n)
+        assert sum_of(any_app.U[: i + 1]) == sum_of(any_app.Udd[: i + 1])
 
 
 def test_dimension_ladder(any_sys, any_app):
@@ -125,9 +135,29 @@ def test_K0_is_U0(any_sys, any_app):
 
 
 def test_Ki_is_intersection(any_sys, any_app):
+    assert any_app.Kspaces == kspaces_by_lemma(any_sys)
     for i, k in enumerate(any_app.Kspaces):
-        assert k == subspace_intersect(any_app.U[i], any_app.Udd[i])
         assert contains(any_app.U[i], k) and contains(any_app.Udd[i], k)
+
+
+def golden_shape():
+    """The (1,2,1) shape of the golden tests, the one input here with K_1 != 0."""
+    return forge.validate((Matrix(SHAPE_A), Matrix(SHAPE_ASTAR)), SHAPE_PARAMS)
+
+
+@pytest.mark.parametrize("build,seed,dims", [
+    (lambda: leonard(4), 7, [1, 0, 0]),
+    (lambda: leonard(4), 11, [1, 0, 0]),
+    (golden_shape, None, [1, 1]),
+    (golden_shape, 7, [1, 1]),
+], ids=["leonard4-dense7", "leonard4-dense11", "shape121", "shape121-dense7"])
+def test_Ki_is_the_lemma_on_dense_input_and_shapes(build, seed, dims):
+    system = build()
+    if seed is not None:
+        system = conjugate(system, unimodular(system.dim, seed))
+    kspaces = build_apparatus(system).Kspaces
+    assert kspaces == kspaces_by_lemma(system)
+    assert [k.dim for k in kspaces] == dims
 
 
 def test_w1_cells(w1_app):
@@ -149,12 +179,12 @@ def test_KUdd(any_sys, any_app):
     d, q, n = any_sys.d, any_sys.params.q, any_sys.dim
     eye = Matrix.identity(n)
     for i in range(d + 1):
-        prefix = sum_of(any_app.U[:i], n)
+        prefix = sum_of((Subspace.zero(n),) + any_app.U[:i])
         shifted = (any_app.Bop - q ** (d - 2 * i) * eye) * any_app.U[i].basis
-        assert contains(prefix, Subspace.from_columns(n, shifted))
-        prefix_dd = sum_of(any_app.Udd[:i], n)
+        assert contains(prefix, Subspace.from_columns(shifted))
+        prefix_dd = sum_of((Subspace.zero(n),) + any_app.Udd[:i])
         shifted = (any_app.Kop - q ** (d - 2 * i) * eye) * any_app.Udd[i].basis
-        assert contains(prefix_dd, Subspace.from_columns(n, shifted))
+        assert contains(prefix_dd, Subspace.from_columns(shifted))
 
 
 def test_minpoly_on_MKi(any_sys, any_app):
@@ -165,15 +195,14 @@ def test_minpoly_on_MKi(any_sys, any_app):
 
 
 def test_MKi_decompose_v_and_A_invariant(any_sys, any_app):
-    n = any_sys.dim
     parts = [
         any_app.MK[i]
         for i, k in enumerate(any_app.Kspaces)
         if not k.is_zero()
     ]
-    assert is_direct_sum(parts, n)
+    assert is_direct_sum(parts)
     for mk in parts:
-        image = Subspace.from_columns(n, any_sys.A * mk.basis)
+        image = Subspace.from_columns(any_sys.A * mk.basis)
         assert contains(mk, image)
 
 
@@ -186,6 +215,6 @@ def test_w1_minpoly_is_characteristic(w1, w1_app):
 
 def test_compute_K_spaces_retains_zero_spaces():
     sys2 = forge.fixture(2)
-    kspaces = compute_K_spaces(sys2, eigenspace_sums(sys2))
+    kspaces = compute_K_spaces(split(sys2, "first"), split(sys2, "second"))
     assert len(kspaces) == 2
     assert kspaces[1].is_zero()  # rank-1 Leonard case: only K_0 survives

@@ -102,4 +102,4 @@ def test_change_of_basis(name, seed):
     assert [(c.i, c.label, c.multiplicity, c.casimir_scalar) for c in parts[1]] == [
         (c.i, c.label, c.multiplicity, c.casimir_scalar) for c in parts[0]]
     assert [c.space for c in parts[1]] == [
-        Subspace.from_columns(sys.dim, p * c.space.basis) for c in parts[0]]
+        Subspace.from_columns(p * c.space.basis) for c in parts[0]]

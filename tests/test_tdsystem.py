@@ -120,6 +120,19 @@ class TestParams:
     def test_valid(self):
         params(3)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_forbidden_set_boundary(self, sign):
+        # a^2 = q^(+-(2d-2)) is the edge of the forbidden set; a^2 = q^(+-2d)
+        # is just outside it, and there theta and theta* are distinct.
+        d, q = 3, F(2)
+        edge, outside = q ** (sign * (d - 1)), q ** (sign * d)
+        for a, b in ((edge, 5), (3, edge)):
+            with pytest.raises(ParameterError):
+                QRacahParams(d, q, F(a), F(b))
+        for a, b in ((outside, 5), (3, outside)):
+            theta, theta_star = qracah_eigenvalues(QRacahParams(d, q, F(a), F(b)))
+            assert len(set(theta)) == len(set(theta_star)) == d + 1
+
 
 class TestEigenvalues:
     def test_d1_primary(self):
@@ -193,7 +206,7 @@ class TestEigendata:
                     for j, e2 in enumerate(idems):
                         assert e * e2 == (e if i == j else Matrix.zeros(n, n))
                     assert m * e == t * e
-                    assert Subspace.from_columns(n, e) == data.eigenspaces[i]
+                    assert Subspace.from_columns(e) == data.eigenspaces[i]
                     total = total + e
                     recon = recon + t * e
                 assert total == Matrix.identity(n)

@@ -165,7 +165,7 @@ class TestWeights:
         assert sum(basis.cols for _, basis in seeds) == sys.dim
         for level in range(d + 1):
             cols = [basis.col(level - i) for i, basis in seeds if 0 <= level - i < basis.cols]
-            assert Subspace.from_columns(sys.dim, Matrix.from_columns(cols)) == app.U[level]
+            assert Subspace.from_columns(Matrix.from_columns(cols)) == app.U[level]
 
 
 class TestDecomposition:
