@@ -111,6 +111,8 @@ def parse_instance_dict(data: dict) -> TDSystemInstance:
     # takes O(d) large powers: a file with a huge d is refused at once.
     try:
         d = data["d"]
+        if type(d) is not int:  # true and 1.0 would pass the shape check as 1
+            raise TypeError(f"d must be an int, not {type(d).__name__}")
         n = d + 1
         a = Matrix.from_strings(data["A"])
         astar = Matrix.from_strings(data["Astar"])

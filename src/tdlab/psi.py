@@ -14,6 +14,10 @@ checks both at run time, eliminating only the n x n matrix of the orbits.
 
 Construction raises OperatorError only when an operator cannot be built
 or its two constructions disagree (exit code 2 on the command line).
+`casimir_action` checks nothing: its k k^-1 is K times `K.inverse()`, and
+its Casimir forms with ef and with fe differ by psi R - R psi - (q -
+q^-1)(K - K^-1), zero as psi solves exactly that equation.  The suite
+still records both (`uq.*.kkinv`, `uq.*.ef`, `lem.casimir.act1.*`).
 Every identity, including the raising and lowering properties of R, R↓
 and psi, is one row of the table in `run_identity_suite`: a check id, an
 anchor, and the items that decide it, each a residual or a pass flag with
@@ -25,12 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import (
-    Matrix,
-    Subspace,
-    combine,
-    solve_commutant_constraint,
-)
+from .linalg import Matrix, Subspace, combine, solve_commutant_constraint
 from .record import Record
 from .report import ConsistencyError, VerificationReport
 from .split import SplitApparatus
@@ -98,19 +97,8 @@ def build_psi_from_solver(
 
 def casimir_action(action: UqAction) -> Matrix:
     """Normalized Casimir action (q - q^-1)^2 ef + q^-1 k + q k^-1
-    (`casimir_of`).
-
-    Raises unless k k^-1 = I and this equals the partner form with fe,
-    which holds exactly when (e, f, k) is a genuine quantum-sl2 action.
-    """
-    e, f, k, kinv, q = action.e, action.f, action.k, action.kinv, action.q
-    if k * kinv != Matrix.identity(k.rows):
-        raise OperatorError("k kinv != I")
-    first = casimir_of(action)
-    second = combine(((q - 1 / q) ** 2, f * e), (q, k), (1 / q, kinv))
-    if first != second:
-        raise OperatorError("not a U_q(sl2) action: the Casimir forms differ")
-    return first
+    (`casimir_of`); checks nothing (see the module docstring)."""
+    return casimir_of(action)
 
 
 def build_operator_set(sys: TDSystemInstance, apparatus: SplitApparatus) -> OperatorSet:
@@ -181,8 +169,8 @@ def run_identity_suite(
     family = (psi, bk, kb, kib, bik)
     psiU = [psi * u.basis for u in U]
     zero = Subspace.zero(n)
-    # U_0 + ... + U_{i-1} at index i, for 0 <= i <= d + 1; dually for U↓.
-    prefix_u, prefix_udd = ((zero,) + p for p in apparatus.prefix_sums)
+    # U_0 + ... + U_{i-1} = U_0↓ + ... + U_{i-1}↓ at index i, 0 <= i <= d + 1.
+    prefix_u = prefix_udd = (zero,) + apparatus.flag
 
     def agree(first, *rest):
         """The residual against the first of each later expression that differs."""

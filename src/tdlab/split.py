@@ -8,6 +8,12 @@ K_i = U_i ∩ U_i↓ for 0 <= i <= d/2, built by this definition; the tests
 compare it with the lemma K_i = (E*_0 V + ... + E*_i V) ∩ (E_i V + ... +
 E_{d-i} V).  cell(i, j) is the image of K_i under the monic factored
 polynomial with roots theta_i .. theta_{j-1}.
+
+Both split decompositions refine one flag, built once by `eigenspace_sums`
+and kept in the apparatus: U_0 + ... + U_i = E*_0 V + ... + E*_i V = U_0↓ +
+... + U_i↓.  No sum of the U_k is formed to check it.  Each U_k lies in
+E*_0 V + ... + E*_k V, so once the U_k are direct (K and B invert their
+stacked bases) and dim U_k = dim E*_k V, their sum fills the flag.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 
-from .linalg import (
-    Matrix,
-    Subspace,
-    is_direct_sum,
-    subspace_intersect,
-    sum_of,
-)
+from .linalg import Matrix, Subspace, subspace_intersect, sum_of
 from .record import Record
 from .report import ConsistencyError
 from .tdsystem import TDSystemInstance
@@ -53,8 +53,6 @@ def split_decomposition(sys: TDSystemInstance, flavor: str, sums: tuple) -> tupl
     for i in range(d + 1):
         other = plain_suffix[i] if flavor == "first" else plain_prefix[d - i]
         spaces.append(subspace_intersect(star_prefix[i], other))
-    if not is_direct_sum(spaces):
-        raise SplitStructureError(f"{flavor} split decomposition is not direct")
     return tuple(spaces)
 
 
@@ -62,11 +60,15 @@ def projector_sum(spaces, weights) -> Matrix:
     """Sum of weight_i * P_i where P_i projects onto spaces[i] along the rest.
 
     Built by a dense change of basis: the concatenated bases must be
-    invertible (the spaces form a decomposition of V).
+    invertible: this is the one test that the spaces decompose V directly.
     """
     diag = [w for s, w in zip(spaces, weights) for _ in range(s.dim)]
     g = Matrix.hstack(*(s.basis for s in spaces))
-    return g * Matrix.diagonal(diag) * g.inverse()
+    try:
+        ginv = g.inverse()
+    except ValueError as exc:  # g is not square, or singular
+        raise SplitStructureError("split decomposition is not direct") from exc
+    return g * Matrix.diagonal(diag) * ginv
 
 
 def build_K(sys: TDSystemInstance, u: tuple) -> Matrix:
@@ -98,8 +100,9 @@ class Cell(Record):
 
 
 class SplitApparatus(Record):
+    # flag[i] = E*_0 V + ... + E*_i V = U_0 + ... + U_i = U_0↓ + ... + U_i↓.
     # No __slots__: the cached properties below live in the instance __dict__.
-    _fields = ("U", "Udd", "Kspaces", "cells", "Kop", "Bop")
+    _fields = ("U", "Udd", "flag", "Kspaces", "cells", "Kop", "Bop")
 
     # Cached on first use, not stored as fields, so that an apparatus built
     # from this one's fields with another Kop = X has Kinv = X^-1.
@@ -110,11 +113,6 @@ class SplitApparatus(Record):
     @cached_property
     def Binv(self) -> Matrix:
         return self.Bop.inverse()
-
-    @cached_property
-    def prefix_sums(self) -> tuple:
-        """(U_0 + ... + U_i for 0 <= i <= d, the same for the U_i↓)."""
-        return _prefix_sums(self.U), _prefix_sums(self.Udd)
 
     @cached_property
     def MK(self) -> tuple:
@@ -159,15 +157,13 @@ def build_apparatus(sys: TDSystemInstance) -> SplitApparatus:
     sums = eigenspace_sums(sys)
     u = split_decomposition(sys, "first", sums)
     udd = split_decomposition(sys, "second", sums)
+    k, b = build_K(sys, u), build_B(sys, udd)  # refuses a split that is not direct
+    dims = [s.dim for s in sys.eigstar.eigenspaces]
+    if [s.dim for s in u] != dims or [s.dim for s in udd] != dims:
+        raise SplitStructureError("the split decompositions do not refine one flag")
     kspaces = compute_K_spaces(u, udd)
     cells = refined_decomposition(sys, u, kspaces)
-    apparatus = SplitApparatus(u, udd, kspaces, cells, build_K(sys, u), build_B(sys, udd))
-    for i, (s, t) in enumerate(zip(*apparatus.prefix_sums)):
-        if s != t:
-            raise SplitStructureError(
-                f"prefix sums of the two split decompositions differ at {i}"
-            )
-    return apparatus
+    return SplitApparatus(u, udd, sums[0], kspaces, cells, k, b)
 
 
 def verify_minpoly_on_MKi(sys: TDSystemInstance, apparatus: SplitApparatus, i: int) -> tuple:

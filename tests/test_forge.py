@@ -229,6 +229,14 @@ class TestRoundTrip:
         with pytest.raises(IngestError):
             ingest(path)
 
+    @pytest.mark.parametrize("d", [True, 1.0], ids=repr)
+    def test_d_of_a_type_other_than_int_rejected(self, d):
+        # With the matrices of fixture 1 both would pass the shape check as 1.
+        data = json.loads(format_instance(fixture(1)))
+        data["d"] = d
+        with pytest.raises(IngestError, match="^malformed instance file: d must be an int"):
+            forge.parse_instance_dict(data)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import leonard, replace
-from tdlab import forge, split
+from tdlab import forge, linalg, split
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import build_operator_set
 from tdlab.split import build_apparatus
@@ -82,6 +82,24 @@ def test_apparatus_intersects_only_for_U_Udd_and_K(monkeypatch):
     build_apparatus(system)
     assert len(calls) <= 2 * (8 + 1) + 8 // 2 + 1, len(calls)
     assert Subspace.__slots__ == ("basis",)
+
+
+def test_apparatus_checks_the_flag_by_dimensions(monkeypatch):
+    """Both splits are held to the flag E*_0 V + ... + E*_i V that
+    `eigenspace_sums` built, by a dimension count: no sums of the U_i or the
+    U_i↓ are formed (94 eliminations for leonard(8) when both chains were
+    formed and compared), and directness is decided once, by K and B."""
+    system, calls = leonard(8), []
+    original = linalg.rref
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    build_apparatus(system)
+    assert len(calls) <= 76, len(calls)
+    assert not hasattr(split.SplitApparatus, "prefix_sums")
 
 
 def test_failing_report_bytes():

@@ -173,21 +173,6 @@ class TestCasimirAction:
         zero = Matrix.zeros(3, 3)
         assert casimir_action(UqAction(zero, eye * 0, eye, eye, q)) == (q + 1 / q) * eye
 
-    def test_rejects_non_action(self):
-        q = F(2)
-        eye = Matrix.identity(2)
-        e = Matrix([[0, 1], [0, 0]])
-        f = Matrix([[0, 0], [1, 0]])
-        # ef - fe != 0 but k - k^-1 = 0: the two Casimir forms must differ
-        with pytest.raises(OperatorError, match="Casimir forms differ"):
-            casimir_action(UqAction(e, f, eye, eye, q))
-
-    def test_rejects_k_without_inverse(self):
-        q = F(2)
-        zero, eye = Matrix.zeros(2, 2), Matrix.identity(2)
-        with pytest.raises(OperatorError, match="k kinv != I"):
-            casimir_action(UqAction(zero, zero, eye, 2 * eye, q))
-
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_full_identity_suite(d):

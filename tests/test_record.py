@@ -32,7 +32,7 @@ RECORDS = [
     (EigenData, ((F(1), F(2)), ("E_0 V", "E_1 V"), ("E_0", "E_1")), ("E_1", "E_0")),
     (TDSystemInstance, (P1, "A", "A*", "eig", "eigstar"), "eig"),
     (Cell, ("image", "space"), "other space"),
-    (SplitApparatus, (("U_0",), ("U_0↓",), ("K_0",), "cells", "K", "B"), "B'"),
+    (SplitApparatus, (("U_0",), ("U_0↓",), ("E*_0 V",), ("K_0",), "cells", "K", "B"), "B'"),
     (OperatorSet, ("R", "R↓", "psi", "Lambda"), "Lambda'"),
     (UqAction, ("e", "f", "k", "k^-1", F(2)), F(3)),
     (Component, (0, 2, 1, "MK_0", F(65, 8)), F(5, 2)),

@@ -16,6 +16,7 @@ from helpers import (
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
 
 from tdlab import forge
+from tdlab import split as split_module
 from tdlab.linalg import (
     Matrix,
     Subspace,
@@ -23,6 +24,7 @@ from tdlab.linalg import (
     sum_of,
 )
 from tdlab.split import (
+    SplitStructureError,
     build_apparatus,
     build_B,
     build_K,
@@ -84,8 +86,27 @@ def test_splits_decompose_v(any_sys):
 
 
 def test_prefix_identity(any_sys, any_app):
+    """Both splits refine the flag E*_0 V + ... + E*_i V that the apparatus keeps."""
+    assert len(any_app.flag) == any_sys.d + 1
     for i in range(any_sys.d + 1):
-        assert sum_of(any_app.U[: i + 1]) == sum_of(any_app.Udd[: i + 1])
+        assert sum_of(any_app.U[: i + 1]) == sum_of(any_app.Udd[: i + 1]) == any_app.flag[i]
+        assert any_app.flag[i] == sum_of(any_sys.eigstar.eigenspaces[: i + 1])
+
+
+@pytest.mark.parametrize("build,fault,message", [
+    (lambda: forge.fixture(2), lambda u: (u[0], u[0]) + u[2:], "not direct"),
+    (lambda: golden_shape(), lambda u: (u[0], u[0]) + u[2:], "not direct"),
+    (lambda: golden_shape(), lambda u: (u[1], u[0]) + u[2:], "do not refine one flag"),
+], ids=["singular", "too-few-columns", "swapped"])
+def test_apparatus_refuses_a_split_off_the_flag(build, fault, message, monkeypatch):
+    """A split that is not direct is refused by building K and B; a direct
+    one whose dimensions are not those of the E*_i V, by the flag check."""
+    system = build()
+    original = split_module.split_decomposition
+    monkeypatch.setattr(split_module, "split_decomposition",
+                        lambda *args: fault(original(*args)))
+    with pytest.raises(SplitStructureError, match=message):
+        build_apparatus(system)
 
 
 def test_dimension_ladder(any_sys, any_app):

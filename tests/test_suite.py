@@ -1,12 +1,13 @@
 """The suite as one table: a selection of check-id prefixes is applied
 before the checks are evaluated, and gives what filtering the full report
 would give.  The operators, the report and the decomposition follow a
-change of basis."""
+change of basis.  Every row but a stated few fails under some single fault
+of the apparatus or the operators."""
 
 import pytest
-from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS
+from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
-from helpers import conjugate, unimodular
+from helpers import conjugate, leonard, replace, unimodular
 from tdlab import forge
 from tdlab.linalg import Matrix, Subspace
 from tdlab.psi import TABLE_PREFIXES, build_operator_set, run_identity_suite
@@ -103,3 +104,61 @@ def test_change_of_basis(name, seed):
         (c.i, c.label, c.multiplicity, c.casimir_scalar) for c in parts[0]]
     assert [c.space for c in parts[1]] == [
         Subspace.from_columns(p * c.space.basis) for c in parts[0]]
+
+
+def _bumped(m: Matrix) -> Matrix:
+    return _bump(m, 0, 1)
+
+
+def _swap(spaces: tuple) -> tuple:
+    return (spaces[1], spaces[0]) + spaces[2:]
+
+
+# name -> (record, field, fault): one field of the apparatus or the operators
+# changed.  Kinv and Binv follow a changed K and B; swapped U_i or U_i↓ meet
+# the flag E*_0 V + ... + E*_i V of the true apparatus.
+SINGLE_FAULTS = {
+    "K doubled": ("app", "Kop", lambda m: 2 * m),
+    "K bumped": ("app", "Kop", _bumped),
+    "B doubled": ("app", "Bop", lambda m: 2 * m),
+    "B bumped": ("app", "Bop", _bumped),
+    **{f"{f} bumped": ("ops", f, _bumped) for f in ("R", "Rdd", "psi", "Lambda")},
+    **{f"{f} plus I": ("ops", f, lambda m: m + Matrix.identity(m.rows))
+       for f in ("R", "Rdd", "psi", "Lambda")},
+    "U_0, U_1 swapped": ("app", "U", _swap),
+    "U_0↓, U_1↓ swapped": ("app", "Udd", _swap),
+}
+
+# Check ids (or id prefixes) that no single fault above fails, and why none can.
+NO_SINGLE_FAULT = {
+    "uq.first.kkinv": "k^-1 is K.inverse() of whatever K is, so k k^-1 = I",
+    "uq.second.kkinv": "k^-1 is B.inverse() of whatever B is, so k k^-1 = I",
+    "lem.invertible1": "a I - a^-1 B K^-1 and its companions are singular only when "
+                       "a^2 or a^-2 is one of their eigenvalues, which no fault here "
+                       "brings about",
+    "lem.minpoly.MK": "reads only the factors A - theta_j I and the cells, which no "
+                      "fault of K, B, the operators or the U_i changes",
+}
+
+
+def test_every_row_fails_under_a_named_single_fault():
+    """Every check id of `full_suite` on fixture 3, leonard(4) and the
+    (1,2,1) shape fails under at least one of SINGLE_FAULTS on one of them,
+    or is named in NO_SINGLE_FAULT, which names no row that a fault fails."""
+    ids, failed_by = set(), {}
+    for system in (forge.fixture(3), leonard(4), _shape121()):
+        app = build_apparatus(system)
+        ops = build_operator_set(system, app)
+        ids |= {e.check_id for e in full_suite(system, app, ops)}
+        for name, (record, field, fault) in SINGLE_FAULTS.items():
+            parts = {"app": app, "ops": ops}
+            parts[record] = replace(parts[record], **{field: fault(getattr(parts[record], field))})
+            for e in full_suite(system, parts["app"], parts["ops"]).failures:
+                failed_by.setdefault(e.check_id, name)
+
+    def excused(check_id):
+        return any(check_id.startswith(k) for k in NO_SINGLE_FAULT)
+
+    assert sorted(i for i in ids - failed_by.keys() if not excused(i)) == []
+    assert {i: f for i, f in failed_by.items() if excused(i)} == {}
+    assert all(any(i.startswith(k) for i in ids) for k in NO_SINGLE_FAULT)

@@ -109,8 +109,12 @@ class TestParams:
             QRacahParams(1, F(0), F(3), F(5))
 
     def test_rejects_fourth_root_of_unity(self):
-        with pytest.raises(ParameterError):
-            QRacahParams(1, F(-1), F(3), F(5))
+        # Over Q the roots of unity are 1 and -1: q^(2i) = 1 for some i <= d
+        # exactly when q^4 = 1.
+        for d in (1, 3):
+            for q in (F(1), F(-1)):
+                with pytest.raises(ParameterError, match=r"^q\^4 = 1 is degenerate$"):
+                    QRacahParams(d, q, F(3), F(5))
 
     def test_rejects_colliding_a(self):
         # a = q makes a^2 = q^2 land in the forbidden set at d = 2

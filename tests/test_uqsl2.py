@@ -120,8 +120,11 @@ class TestLModels:
         assert casimir_of(action) == expected * Matrix.identity(n + 1)
 
     def test_root_of_unity_guard(self):
-        with pytest.raises(ValueError):
-            build_L_model(2, F(-1))
+        for q in (F(1), F(-1)):
+            for n in (1, 2):
+                with pytest.raises(ValueError, match=rf"^q\^2 = 1: L\({n}, 1\) would be "):
+                    build_L_model(n, q)
+            assert build_L_model(0, q).k == Matrix.identity(1)  # L(0, 1) is trivial
 
 
 class TestWeights:
