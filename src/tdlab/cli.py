@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from contextlib import contextmanager
 
 from . import forge
 from .linalg import rat, rat_str
@@ -58,6 +59,21 @@ def _write(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+@contextmanager
+def _long_integers():
+    """Lift Python's limit on the digits of an int converted to str (4300
+    by default) for the block, and restore it after."""
+    if not hasattr(_sys, "get_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        _sys.set_int_max_str_digits(limit)
+
+
 def cmd_generate(args) -> int:
     if args.d > forge.MAX_DIAMETER:
         print(f"invalid parameters: diameter {args.d} exceeds the limit "
@@ -81,10 +97,14 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"validation failed: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    if args.out:
-        forge.export_instance(instance, args.out)
-    else:
-        _sys.stdout.write(forge.format_instance(instance))
+    try:
+        text = forge.format_instance(instance)
+    except ValueError:  # ingest reads under the same digit limit of int(str)
+        print(f"invalid parameters: an entry of A or A* has more than "
+              f"{_sys.get_int_max_str_digits()} digits, which ingest cannot read",
+              file=_sys.stderr)
+        return EXIT_INVALID
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -142,14 +162,17 @@ def cmd_export(args) -> int:
     from .split import build_apparatus
 
     apparatus = build_apparatus(instance)
-    payload = {"K": apparatus.Kop.to_strings(), "B": apparatus.Bop.to_strings()}
-    if args.what == "operators":
-        ops = build_operator_set(instance, apparatus)
-        payload.update((name, getattr(ops, name).to_strings())
-                       for name in ("R", "Rdd", "psi", "Lambda"))
-    else:
-        payload.update(_apparatus_payload(apparatus))
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    # Operator entries may pass the digit limit of str(int) (B at d = 10
+    # with a 70-bit q); they are output, not input, so it is lifted here.
+    with _long_integers():
+        payload = {"K": apparatus.Kop.to_strings(), "B": apparatus.Bop.to_strings()}
+        if args.what == "operators":
+            ops = build_operator_set(instance, apparatus)
+            payload.update((name, getattr(ops, name).to_strings())
+                           for name in ("R", "Rdd", "psi", "Lambda"))
+        else:
+            payload.update(_apparatus_payload(apparatus))
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,9 @@ only its basis, n x dim, canonicalized by reduced row echelon form so that
 equal subspaces have bit-identical representations; `Subspace.holds` tests
 columns by one rank test, without canonicalizing their span.  The lattice
 operations (`sum_of`, `is_direct_sum`, `subspace_intersect`) read n from
-the bases and refuse parts of different n.
+the bases and refuse parts of different n.  `triangular_kernel` finds the
+kernel of a triangular matrix with at most one zero on its diagonal by
+substitution, with no elimination, in that same canonical form.
 
 `solve_commutant_constraint` solves XR - RX = C with X = 0 on given
 subspaces along the R-orbits p_m = R^m B of their bases B, with no system
@@ -217,6 +219,18 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def triangle(self) -> str | None:
+        """"lower" for a square matrix with no nonzero entry above its
+        diagonal (a diagonal one included), "upper" for one with none below
+        it, else None."""
+        if not self.is_square():
+            return None
+        if not any(any(row[i + 1:]) for i, row in enumerate(self._n)):
+            return "lower"
+        if not any(any(row[:i]) for i, row in enumerate(self._n)):
+            return "upper"
+        return None
+
     def transpose(self) -> "Matrix":
         num = list(zip(*self._n)) if self.rows else [()] * self.cols
         return Matrix._of(self.cols, self.rows, num, self._d)
@@ -344,6 +358,43 @@ def _kernel_from_echelon(ech: Matrix, pivots: Sequence[int], ncols: int) -> Matr
         for r, p in enumerate(pivots):
             num[p][k] = -ech._n[r][f]
     return Matrix._of(ncols, len(free), num, ech._d)
+
+
+def triangular_kernel(m: Matrix, lower: bool) -> "Subspace":
+    """Kernel of a lower (or, with `lower` false, upper) triangular m with
+    at most one zero on its diagonal, by substitution on its numerators.
+
+    With no zero on the diagonal m is invertible and the kernel is zero.
+    With m[k, k] = 0 the kernel is a line: x_j = 0 for every j that
+    substitution reaches before k (j < k when lower, j > k when upper),
+    x_k = 1, and each later x_j is -(sum_{l != j} m[j, l] x_l) / m[j, j].
+    The integer x is kept over an implied common denominator, which a
+    division by m[j, j] multiplies into every entry so far.  The vector
+    is scaled so that its first nonzero entry is 1: the canonical basis
+    that `Subspace.from_columns` gives.
+    """
+    n, num = m.rows, m._n
+    zeros = [i for i in range(n) if not num[i][i]]
+    if len(zeros) > 1:
+        raise ValueError("more than one zero on the diagonal")
+    if not zeros:
+        return Subspace.zero(n)
+    k = zeros[0]
+    x = [0] * n
+    x[k] = 1
+    for j in range(k + 1, n) if lower else range(k - 1, -1, -1):
+        row = num[j]
+        known = range(k, j) if lower else range(j + 1, k + 1)
+        s = sum(row[l] * x[l] for l in known if row[l])
+        g = gcd(s, row[j])
+        p, x_j = row[j] // g, -s // g  # -s / m[j, j] = x_j / p: the denominator gains p
+        if p < 0:
+            p, x_j = -p, -x_j
+        if p != 1:
+            x = [p * v for v in x]
+        x[j] = x_j
+    first = next(v for v in x if v)
+    return Subspace(Matrix._of(n, 1, [[v] for v in x], first))
 
 
 class Subspace:

@@ -11,6 +11,10 @@ from tdlab import cli, forge, split, suite
 from tdlab.linalg import Matrix
 from tdlab.report import CheckResult, VerificationReport
 
+# Python's limit on the digits of an int converted to or from str, if any.
+digit_limited = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+
 W1_ARGS = ["--d", "1", "--q", "2", "--a", "3", "--b", "5"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +83,20 @@ class TestGenerate:
         assert (code, captured.out) == (2, "")
         assert "exceeds the limit" in captured.err
         assert elapsed < 1.0
+
+    @digit_limited
+    def test_entries_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        """ingest must read what generate writes, under the same digit
+        limit: with a 3000-digit q the entries of A have about 6000."""
+        out = tmp_path / "big.json"
+        assert cli.main(["generate", "--d", "2", "--q", "7" * 3000, "--a", "3", "--b", "5",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid parameters: an entry of A or A* has more than "
+            f"{sys.get_int_max_str_digits()} digits, which ingest cannot read\n")
 
 
 class TestVerify:
@@ -210,6 +228,19 @@ class TestExport:
             ["export", "--instance", w1_file, "--out", "/nonexistent-dir/x.json"]
         )
         assert code == 3
+
+    @digit_limited
+    def test_entries_past_the_digit_limit(self, tmp_path, capsys):
+        """B of the d = 10 pair with a 70-bit q has entries of more than 4300
+        digits; export prints them, and then restores the limit."""
+        path = tmp_path / "q70.json"
+        assert cli.main(["generate", "--d", "10", "--q", "123456789012345678901/7",
+                         "--a", "3", "--b", "5", "--out", str(path)]) == 0
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["export", "--instance", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(capsys.readouterr().out)
+        assert max(len(x) for row in payload["B"] for x in row) > 4300
 
 
 class TestFailureMapping:

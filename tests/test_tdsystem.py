@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from helpers import idempotents, replace, second_inversion, span, tridiagonal_ok
+from helpers import (
+    conjugate,
+    idempotents,
+    leonard,
+    replace,
+    second_inversion,
+    span,
+    tridiagonal_ok,
+    unimodular,
+)
 from test_golden import SHAPE_A, SHAPE_ASTAR, SHAPE_PARAMS, _bump
 
 from tdlab import forge, linalg, tdsystem
@@ -217,6 +227,77 @@ class TestEigendata:
                 assert recon == m
 
 
+Q70 = F(123456789012345678901, 7)
+
+
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(f"{what} where none was expected")
+
+    return refuse
+
+
+def _triangular(seed, n, side, big):
+    """A seeded n x n lower, upper or diagonal matrix with distinct diagonal
+    entries: small integers, or the q-Racah eigenvalues of the 70-bit q.
+    The other entries of its triangle are drawn from -2..2, times q if big."""
+    rng = random.Random(seed)
+    diag = (qracah_eigenvalues(params(n - 1, Q70))[0] if big
+            else rng.sample(range(-9, 10), n))
+    scale = Q70 if big else 1
+
+    def entry(i, j):
+        inside = {"lower": j < i, "upper": j > i, "diagonal": False}[side]
+        return diag[i] if i == j else rng.randint(-2, 2) * scale if inside else 0
+
+    return Matrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+class TestSubstitution:
+    """Eigenspaces of a triangular matrix with distinct diagonal entries
+    come by substitution, and agree with the kernels by elimination."""
+
+    @pytest.mark.parametrize("big", [False, True], ids=["small", "q70"])
+    @pytest.mark.parametrize("side", ["lower", "upper", "diagonal"])
+    def test_agrees_with_kernel(self, side, big, monkeypatch):
+        for seed in range(3):
+            m = _triangular(seed, 6, side, big)
+            assert m.triangle() == ("lower" if side == "diagonal" else side)
+            diag = [m[i, i] for i in range(m.rows)]
+            eye = Matrix.identity(m.rows)
+            for t in diag + [max(diag) + 1]:
+                f = m - t * eye
+                line = linalg.triangular_kernel(f, side != "upper")
+                assert line == Subspace.from_columns(f.kernel())
+                assert line.dim == (t in diag)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "rref", _refuse("an elimination"))
+                data = build_eigendata(m, diag)
+            assert data.eigenspaces == tuple(
+                Subspace.from_columns(f.kernel()) for f in data.factors)
+
+    def test_other_matrices_take_the_kernel_path(self, monkeypatch):
+        monkeypatch.setattr(tdsystem, "triangular_kernel", _refuse("a substitution"))
+        repeated = Matrix([[2, 0, 0], [1, 3, 0], [0, 0, 2]])
+        p = unimodular(4, 7)
+        two_sided = p * Matrix.diagonal([1, 2, 3, 4]) * p.inverse()
+        assert repeated.triangle() == "lower" and two_sided.triangle() is None
+        for m, spectrum in ((repeated, [2, 3]), (two_sided, [1, 2, 3, 4])):
+            data = build_eigendata(m, spectrum)
+            eye = Matrix.identity(m.rows)
+            assert data.eigenspaces == tuple(
+                Subspace.from_columns((m - t * eye).kernel()) for t in spectrum)
+
+    def test_two_zeros_on_the_diagonal_refused(self):
+        with pytest.raises(ValueError, match="more than one zero"):
+            linalg.triangular_kernel(Matrix([[0, 0], [1, 0]]), True)
+
+    def test_triangle(self):
+        assert Matrix.zeros(2, 3).triangle() is None
+        assert Matrix([[1, 2], [0, 3]]).triangle() == "upper"
+        assert Matrix([[1, 2], [4, 3]]).triangle() is None
+
+
 class TestAxioms:
     def test_w1_passes(self):
         w1 = forge.fixture(1)
@@ -261,6 +342,52 @@ class TestAxioms:
         swapped = (idems[1], idems[0], idems[2])
         assert tridiagonal_ok(sys2.Astar, idems)[0]
         assert not tridiagonal_ok(sys2.Astar, swapped)[0]
+
+
+def _spins_reach_n(a, astar, eig):
+    """Norton's verdict: E_0 V spins to V and the left kernel of
+    A - theta_0 I to all rows."""
+    col = linalg.spin_dim(eig.eigenspaces[0].basis.transpose(),
+                          (a.transpose(), astar.transpose()))
+    row = linalg.spin_dim(eig.factors[0].transpose().kernel().transpose(), (a, astar))
+    return col == row == a.rows
+
+
+def _split_direct_sum():
+    """Split-form Leonard pairs of diameter 1 with the d = 3 spectra
+    theta_0, theta_1 and theta_2, theta_3 (a and b times q^2, then q^-2),
+    summed: the eigenspaces are lines, (i)-(iii) hold, and the first two
+    lines are invariant."""
+    blocks = [forge.validate(forge.build_split_form(p, forge.leonard_phi(p)), p)
+              for p in (params(1, 2, 12, 20), params(1, 2, F(3, 4), F(5, 4)))]
+    return (_direct_sum(*(s.A for s in blocks)), _direct_sum(*(s.Astar for s in blocks))), params(3)
+
+
+def test_neighbour_rule_agrees_with_spins():
+    """On every line-shaped candidate that passes (i)-(iii), all neighbour
+    blocks E_{i-+1} A* E_i are nonzero exactly when both of Norton's spins
+    reach n, and (iv) gives that verdict.  On EXTENSION_FAILS_IV, whose
+    E_1 V is a plane, the blocks are all nonzero though the pair is
+    reducible: the rule holds only for lines, and (iv) spins there."""
+    systems = [forge.fixture(d) for d in (1, 2, 3)] + [leonard(8)]
+    systems += [conjugate(s, unimodular(s.dim, 7)) for s in (leonard(4), systems[-1])]
+    cases = [((s.A, s.Astar), s.eig, s.eigstar) for s in systems]
+    a, astar = Matrix.diagonal([2, 3]), Matrix.diagonal([5, 7])
+    cases.append(((a, astar), build_eigendata(a, [2, 3]), build_eigendata(astar, [5, 7])))
+    for candidate, p in (_split_direct_sum(), EXTENSION_FAILS_IV):
+        cases.append((candidate, *find_standard_orderings(*candidate, p)))
+    verdicts = []
+    for (a, astar), eig, eigstar in cases:
+        report = {e.check_id: e for e in verify_td_axioms(a, astar, eig, eigstar)}
+        assert report["axiom.ii"].passed and report["axiom.iii"].passed
+        failure, linked = tdsystem._tridiagonal_scan(astar, eig, True)
+        spins = _spins_reach_n(a, astar, eig)
+        assert failure is None and report["axiom.iv"].passed is spins
+        lines = all(e.dim == 1 for e in eig.eigenspaces)
+        assert linked is spins or not lines
+        verdicts.append((lines, linked, spins))
+    assert verdicts[-3:] == [(True, False, False), (True, False, False), (False, True, False)]
+    assert all(v == (True, True, True) for v in verdicts[:-3])
 
 
 class TestFailureMessages:
@@ -332,12 +459,16 @@ def _leonard_candidate(d):
 
 
 def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
-    """Validation of a d = 10 Leonard pair runs no rref wider than n = 11.
+    """Validation of a d = 10 Leonard pair in a dense basis runs no rref
+    wider than n = 11.
 
     The word closure eliminated rows of n^2 entries; a reintroduced closure
-    fails here without any timing.
+    fails here without any timing.  In the dense basis A and A* are not
+    triangular, so the eigenspaces are kernels found by elimination.
     """
-    candidate, p = _leonard_candidate(10)
+    system, p = leonard(10), unimodular(11, 7)
+    pinv = p.inverse()
+    candidate = (p * system.A * pinv, p * system.Astar * pinv)
     n, widths = candidate[0].rows, []
     original = linalg.rref
 
@@ -347,8 +478,22 @@ def test_validation_eliminates_no_more_than_n_columns(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(linalg, "rref", narrow_rref)
-    assert forge.validate(candidate, p).dim == n
+    assert forge.validate(candidate, system.params).dim == n
     assert max(widths) == n
+
+
+def test_split_form_validation_eliminates_nothing(monkeypatch):
+    """Validation of the split-form d = 10 Leonard pair runs no rref and no
+    spin: A and A* are triangular with distinct diagonals, so their
+    eigenspaces come by substitution, and the eigenspaces are lines, so
+    (iv) comes from the neighbour blocks of (ii)."""
+    candidate, p = _leonard_candidate(10)
+    calls = []
+    rref, spin = linalg.rref, tdsystem.spin_dim
+    monkeypatch.setattr(linalg, "rref", lambda *a: calls.append("rref") or rref(*a))
+    monkeypatch.setattr(tdsystem, "spin_dim", lambda *a: calls.append("spin") or spin(*a))
+    assert forge.validate(candidate, p).dim == 11
+    assert calls == []
 
 
 def test_validation_multiplies_no_two_square_matrices(monkeypatch):
